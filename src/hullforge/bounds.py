@@ -28,12 +28,6 @@ class DhValue:
         return self.kind is DhKind.EXACT
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    griesmer_max_d: int
-    sphere_packing_max_d: int
-
-
 def griesmer_holds(n, k, d):
     return n >= sum(ceil(d / 4**i) for i in range(k))
 
@@ -66,10 +60,6 @@ def sphere_packing_max_d(n, k):
     while d < n - k + 1 and sphere_packing_holds(n, k, d + 1):
         d += 1
     return d
-
-
-def bounds_report(n, k):
-    return BoundsReport(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
 
 
 # The largest hull-1 distance for k = 3, by residue of n mod 21.  Value is

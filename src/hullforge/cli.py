@@ -8,27 +8,17 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import bounds, construct, eaqecc, matfmt, search, witnesses
+from . import bounds, construct, eaqecc, gf4, matfmt, search, witnesses
 from .code import DEFAULT_ENUM_CAP, LinearCode
 from .exceptions import BudgetExceededError, HullforgeError, ParseError
-from .hull import hull_report
+from .hull import hull_dim, hull_report
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("HULLFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser():
@@ -56,7 +46,6 @@ def build_parser():
     p_se.add_argument("--target-d", type=int, default=None)
     p_se.add_argument("--seed", type=int, default=0)
     p_se.add_argument("--budget", type=int, default=100_000)
-    p_se.add_argument("--threads", type=int, default=_default_threads())
 
     p_ta = sub.add_parser("table", help="regenerate the distance table")
     p_ta.add_argument("--max-n", type=int, default=12)
@@ -188,7 +177,7 @@ def cmd_search(args, out):
         return EXIT_OK
     target = args.target_d if args.target_d is not None else 1
     outcome = search.random_search(n, k, target, seed=args.seed,
-                                   budget=args.budget, threads=args.threads)
+                                   budget=args.budget)
     if outcome.witness is None:
         out.write(f"no witness with d >= {target} found "
                   f"(randomized, explored {outcome.explored}, "
@@ -308,13 +297,12 @@ def cmd_verify_paper(args, out):
     table1_ok = True
     for s in (1, 2, 3):
         for m in _table1_vectors(s):
-            from .construct import MultiplicityVector, code_from_multiplicity
-            from .hull import hull_dim as _hd
-            dim = _hd(code_from_multiplicity(MultiplicityVector(2, m)))
+            mv = construct.MultiplicityVector(2, m)
+            dim = hull_dim(construct.code_from_multiplicity(mv))
             if dim not in (0, 2):
                 table1_ok = False
-        from . import gf4
-        all_equal = code_from_multiplicity(MultiplicityVector(2, (s,) * 5))
+        all_equal = construct.code_from_multiplicity(
+            construct.MultiplicityVector(2, (s,) * 5))
         if gf4.hermitian_gram(all_equal.generator).any():
             table1_ok = False
     ok &= _check(out, "k=2 case table: hull dim in {0,2}, all-equal is SO",

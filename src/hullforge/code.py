@@ -171,9 +171,6 @@ class LinearCode:
         stacked = np.vstack([self.generator, v])
         return gf4.rank(stacked) == self.k
 
-    def same_codewords(self, other):
-        return self == other
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearCode)

@@ -206,7 +206,7 @@ class Fixture:
 
 
 def _parse_params(name):
-    # names look like G_[12,3,8]
+    # names look like G_[12,3,8] or W_[12,3,8].g4m
     inner = name[name.index("[") + 1: name.index("]")]
     n, k, d = (int(x) for x in inner.split(","))
     return n, k, d

@@ -51,32 +51,15 @@ def _distance_or_none(c, cap, strict):
         return None
 
 
-# Offsets of the corollary's 21-member family: at length 21s + t the distance
-# is 16s + offset and the entanglement is n - 4.  The t = 5 row carries the
-# bound-derived value 16s + 2 (exact only at the settled small lengths).
-_COROLLARY_OFFSETS = {
-    0: -1, 1: 0, 2: 0, 3: 1, 4: 2, 5: 2, 6: 3, 7: 4, 8: 5, 9: 6, 10: 6,
-    11: 7, 12: 8, 13: 9, 14: 10, 15: 10, 16: 11, 17: 12, 18: 13, 19: 14,
-    20: 14,
-}
-
-
-def corollary_family(s, t, table3_exact=False):
-    """The [[21s+t, 2, d; 21s+t-4]] family member.
-
-    With table3_exact=True the t = 5 row takes the settled exact value where
-    one is known (it coincides with the formula at those lengths).
-    """
+def corollary_family(s, t):
+    """The [[21s+t, 2, d; 21s+t-4]] family member, with d the k = 3 hull-1
+    distance of `bounds.k3_value` (a lower bound on the open t = 5 row)."""
     if not 0 <= t <= 20 or s < 0:
         raise OutOfRangeError("need s >= 0 and 0 <= t <= 20")
     n = 21 * s + t
     if n < 4:
         raise OutOfRangeError("family starts at length 4")
-    if table3_exact:
-        d = k3_value(n).d
-    else:
-        d = 16 * s + _COROLLARY_OFFSETS[t]
-    return EaqeccParams(n, 2, d, n - 4)
+    return EaqeccParams(n, 2, k3_value(n).d, n - 4)
 
 
 # [d; c] cells for n <= 12, column index k = (quaternary dimension) - 1,

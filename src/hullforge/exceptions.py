@@ -41,10 +41,6 @@ class UnsupportedError(HullforgeError):
     """Parameters outside the supported range of the operation."""
 
 
-class NotReducibleError(HullforgeError):
-    """Simplex reduction preconditions do not hold."""
-
-
 class WrongHullDimensionError(HullforgeError):
     """The operation requires a code with one-dimensional Hermitian hull."""
 

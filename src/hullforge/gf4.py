@@ -26,7 +26,6 @@ MUL = np.array(
 
 # conj(x) = x^2; coincides with the inverse on nonzero elements (x^3 = 1)
 CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
-INV = np.array([0, 1, 3, 2], dtype=np.uint8)  # INV[0] is unused
 
 
 def add(a, b):
@@ -94,7 +93,7 @@ def rref(m):
         if pivot != row:
             r[[row, pivot]] = r[[pivot, row]]
         if r[row, col] != 1:
-            r[row] = MUL[INV[r[row, col]], r[row]]
+            r[row] = MUL[CONJ[r[row, col]], r[row]]
         for i in range(nrows):
             if i != row and r[i, col]:
                 r[i] ^= MUL[r[i, col], r[row]]
@@ -133,9 +132,3 @@ def hermitian_gram(g):
     """G * conj(G)^T; the result equals its own conjugate transpose."""
     return matmul(g, conj_transpose(g))
 
-
-def nonzero_rows(m):
-    if m.size == 0:
-        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-    keep = np.any(m != 0, axis=1)
-    return m[keep]

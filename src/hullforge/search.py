@@ -7,11 +7,15 @@ multiplicities m_i, so enumerating m with column-count pruning is a complete
 search over that class.  Codes with a zero column (dual distance 1) are
 covered by recursing on length n - 1.
 
-For k >= 4 only a seeded randomized search is offered; it never claims
-exhaustiveness and every accepted witness is re-verified by full enumeration.
+For k >= 4 only a seeded, deterministic randomized search is offered: a
+serial run over fixed-size chunks, each with its own RNG stream, so a seed
+and a budget fix every emitted value.  It never claims exhaustiveness, and
+every accepted witness is re-verified by full enumeration.
+
+Both engines re-check their witness with explicit raises, so the checks
+survive `python -O`.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 
@@ -19,14 +23,14 @@ import numpy as np
 
 from . import gf4
 from .bounds import griesmer_max_d, sphere_packing_max_d
-from .code import LinearCode
+from .code import DEFAULT_ENUM_CAP, LinearCode
 from .construct import (
     MultiplicityVector,
     code_from_multiplicity,
     simplex_length,
     simplex_matrix,
 )
-from .exceptions import NotReducibleError, UnsupportedError
+from .exceptions import UnsupportedError
 from .hull import hull_dim, hull_information_set
 
 _RANDOM_CHUNK = 1024
@@ -110,9 +114,9 @@ def _gram_rank(flat, k):
     return gf4.rank(flat.reshape(k, k))
 
 
-def _enumerate_multiplicities(n, k, d, stop_at_witness, symmetry=False):
-    """Walk all multiplicity vectors of weight >= d, pruned by the column
-    bounds; reports hull-1 hits.
+def _enumerate_multiplicities(n, k, d):
+    """Walk the multiplicity vectors of weight >= d, pruned by the column
+    bounds, until the first hull-1 hit.
 
     Returns (witness_m or None, vectors_examined).
     """
@@ -131,12 +135,10 @@ def _enumerate_multiplicities(n, k, d, stop_at_witness, symmetry=False):
 
     def recurse(pos, remaining, gram):
         nonlocal examined, witness, weights
-        if witness is not None and stop_at_witness:
+        if witness is not None:
             return
         if pos == length - 1:
             if not lower <= remaining <= upper:
-                return
-            if symmetry and k == 2 and pos == 1 and m[0] > remaining:
                 return
             m[pos] = remaining
             examined += 1
@@ -159,8 +161,6 @@ def _enumerate_multiplicities(n, k, d, stop_at_witness, symmetry=False):
         # near balanced multiplicities, so they surface much earlier
         mean = remaining / (length - pos)
         for v in sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x)):
-            if symmetry and k == 2 and pos == 1 and m[0] > v:
-                continue
             m[pos] = v
             weights_add = v * inc[:, pos]
             weights += weights_add
@@ -168,7 +168,7 @@ def _enumerate_multiplicities(n, k, d, stop_at_witness, symmetry=False):
             recurse(pos + 1, remaining - v, g)
             weights -= weights_add
             m[pos] = 0
-            if witness is not None and stop_at_witness:
+            if witness is not None:
                 return
 
     recurse(0, n, np.zeros(k * k, dtype=np.uint8))
@@ -177,16 +177,21 @@ def _enumerate_multiplicities(n, k, d, stop_at_witness, symmetry=False):
 
 def _verify_multiplicity_witness(k, m, expect_d):
     code = code_from_multiplicity(MultiplicityVector(k, tuple(m)))
-    assert hull_dim(code) == 1
+    dim = hull_dim(code)
+    if dim != 1:
+        raise AssertionError(f"multiplicity witness {m} has hull dimension {dim}")
     actual = code.min_distance()
-    assert actual >= expect_d, (m, actual, expect_d)
+    if actual < expect_d:
+        raise AssertionError(
+            f"multiplicity witness {m} has distance {actual} < {expect_d}"
+        )
     return code, actual
 
 
 _EXHAUSTIVE_CACHE = {}
 
 
-def exhaustive_dh(n, k, symmetry=False):
+def exhaustive_dh(n, k):
     """Exact largest hull-1 distance for k in {1, 2, 3}.
 
     Scans d downward from the classical bounds; the first d with a
@@ -197,11 +202,11 @@ def exhaustive_dh(n, k, symmetry=False):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
     if n < k:
         raise ValueError("need n >= k")
-    key = (n, k, symmetry)
+    key = (n, k)
     if key in _EXHAUSTIVE_CACHE:
         return _EXHAUSTIVE_CACHE[key]
 
-    shorter = exhaustive_dh(n - 1, k, symmetry) if n - 1 >= k else None
+    shorter = exhaustive_dh(n - 1, k) if n - 1 >= k else None
     dmax = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
     explored = shorter.explored if shorter else 0
     best_d = 0
@@ -210,8 +215,7 @@ def exhaustive_dh(n, k, symmetry=False):
         if shorter and shorter.best_d >= d:
             # the zero-column lift already achieves d; no deeper scan needed
             break
-        m, examined = _enumerate_multiplicities(n, k, d, stop_at_witness=True,
-                                                symmetry=symmetry)
+        m, examined = _enumerate_multiplicities(n, k, d)
         explored += examined
         if m is not None:
             code, actual = _verify_multiplicity_witness(k, m, d)
@@ -230,7 +234,7 @@ def _append_zero_column(code):
     return LinearCode.from_generator(g)
 
 
-def certify_nonexistence(n, k, d, symmetry=False):
+def certify_nonexistence(n, k, d):
     """Exhaust the pruned multiplicity space (and the zero-column recursion)
     for an [n, k, >=d] hull-1 code; returns a certificate or a witness."""
     if k not in (2, 3):
@@ -238,9 +242,7 @@ def certify_nonexistence(n, k, d, symmetry=False):
     examined = 0
     length_n = n
     while length_n >= k and griesmer_max_d(length_n, k) >= d:
-        m, count = _enumerate_multiplicities(length_n, k, d,
-                                             stop_at_witness=True,
-                                             symmetry=symmetry)
+        m, count = _enumerate_multiplicities(length_n, k, d)
         examined += count
         if m is not None:
             code, _ = _verify_multiplicity_witness(k, m, d)
@@ -249,20 +251,6 @@ def certify_nonexistence(n, k, d, symmetry=False):
             return CounterexampleFound(n, k, d, code)
         length_n -= 1
     return NonexistenceCertificate(n, k, d, multiplicity_bounds(n, k, d), examined)
-
-
-def reduce_by_simplex(n, k, d):
-    """One simplex-stripping step: (n, k, d) -> (n - (4^k - 1)/3, k, d - 4^(k-1)).
-
-    Nonexistence of the reduced parameters lifts back to the original ones.
-    """
-    if k < 3:
-        raise NotReducibleError("reduction needs k >= 3")
-    length = simplex_length(k)
-    weight = 4 ** (k - 1)
-    if n < length or d < weight or n - length < k:
-        raise NotReducibleError(f"({n}, {k}, {d}) cannot shed a simplex block")
-    return n - length, k, d - weight
 
 
 # -- randomized search -----------------------------------------------------
@@ -279,7 +267,7 @@ def _standard_form(k, n, a):
     return g
 
 
-def _search_chunk(n, k, seed, chunk_index, size, cap):
+def _search_chunk(n, k, seed, chunk_index, size):
     """Deterministic per-chunk stream: fresh samples, single-entry mutations
     of the chunk best, and hull-2 shorten moves from length n + 1."""
     rng = np.random.default_rng([seed, chunk_index])
@@ -312,7 +300,7 @@ def _search_chunk(n, k, seed, chunk_index, size, cap):
         code = LinearCode.from_generator(g)
         if code.k != k:
             continue
-        d = code.min_distance(cap)
+        d = code.min_distance()
         key = (d, _neg_bytes(code.generator.tobytes()))
         if best is None or key > best[0]:
             best = (key, code)
@@ -324,45 +312,34 @@ def _neg_bytes(b):
     return bytes(255 - x for x in b)
 
 
-def random_search(n, k, target_d, seed, budget, threads=1, cap=14):
+def random_search(n, k, target_d, seed, budget):
     """Seeded randomized search for an [n, k] hull-1 code of distance
     >= target_d.
 
-    The candidate stream is split into fixed-size chunks whose RNG state
-    depends only on (seed, chunk index), and results merge by best distance
-    with lexicographically-least generator as the tie break, so the outcome
-    is identical for any thread count.
+    The budget is split into chunks of _RANDOM_CHUNK candidates, run one
+    after another; each chunk draws from its own RNG stream seeded with
+    (seed, chunk index).  The best chunk result wins, ties going to the
+    lexicographically least generator, so the same (seed, budget) always
+    gives the same outcome.
     """
-    if k > cap:
-        raise UnsupportedError(f"k={k} exceeds the distance cap {cap}")
-    chunks = []
-    offset = 0
-    index = 0
-    while offset < budget:
-        size = min(_RANDOM_CHUNK, budget - offset)
-        chunks.append((index, size))
-        offset += size
-        index += 1
-
-    def run(args):
-        ci, size = args
-        return _search_chunk(n, k, seed, ci, size, cap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
-
+    if k > DEFAULT_ENUM_CAP:
+        raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
     best = None
-    for res in results:
+    for index, offset in enumerate(range(0, budget, _RANDOM_CHUNK)):
+        res = _search_chunk(n, k, seed, index, min(_RANDOM_CHUNK, budget - offset))
         if res is not None and (best is None or res[0] > best[0]):
             best = res
     if best is None:
         return SearchOutcome(0, None, exhaustive=False, explored=budget)
     (d, _), code = best
-    assert hull_dim(code) == 1
-    assert code.min_distance(cap) == d
+    dim = hull_dim(code)
+    if dim != 1:
+        raise AssertionError(f"randomized witness has hull dimension {dim}")
+    actual = code.min_distance()
+    if actual != d:
+        raise AssertionError(
+            f"randomized witness has distance {actual}, chunk reported {d}"
+        )
     if d < target_d:
         return SearchOutcome(d, None, exhaustive=False, explored=budget)
     return SearchOutcome(d, code, exhaustive=False, explored=budget)

@@ -11,6 +11,7 @@ from importlib import resources
 
 from . import matfmt
 from .code import LinearCode
+from .construct import _parse_params
 from .exceptions import OutOfRangeError
 
 
@@ -21,8 +22,7 @@ def _index():
     for entry in root.iterdir():
         if not entry.name.endswith(".g4m"):
             continue
-        inner = entry.name[entry.name.index("[") + 1: entry.name.index("]")]
-        n, k, d = (int(x) for x in inner.split(","))
+        n, k, d = _parse_params(entry.name)
         out[(n, k)] = (entry, d)
     return out
 

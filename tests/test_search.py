@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from hullforge import search
 from hullforge.bounds import dh_closed_form, table5_lookup
 from hullforge.code import LinearCode
 from hullforge.construct import MultiplicityVector, code_from_multiplicity
-from hullforge.exceptions import NotReducibleError, UnsupportedError
+from hullforge.exceptions import UnsupportedError
 from hullforge.hull import hull_dim
 from hullforge.search import (
     CounterexampleFound,
     NonexistenceCertificate,
+    _enumerate_multiplicities,
+    _verify_multiplicity_witness,
     certify_nonexistence,
     exhaustive_dh,
     multiplicity_bounds,
     random_search,
-    reduce_by_simplex,
 )
 
 
@@ -54,11 +56,6 @@ def test_exhaustive_k3_matches_table():
         assert hull_dim(o.witness) == 1
 
 
-def test_exhaustive_symmetry_flag_agrees():
-    for n in range(3, 11):
-        assert exhaustive_dh(n, 2, symmetry=True).best_d == exhaustive_dh(n, 2).best_d
-
-
 def test_exhaustive_rejects_large_k():
     with pytest.raises(UnsupportedError):
         exhaustive_dh(10, 4)
@@ -89,12 +86,30 @@ def test_certify_rejects_wrong_k():
         certify_nonexistence(8, 1, 2)
 
 
-def test_reduce_by_simplex():
-    assert reduce_by_simplex(42, 3, 31) == (21, 3, 15)
-    with pytest.raises(NotReducibleError):
-        reduce_by_simplex(20, 3, 16)  # too short to shed a block
-    with pytest.raises(NotReducibleError):
-        reduce_by_simplex(42, 2, 10)  # k too small
+def test_verify_multiplicity_witness_rejects_wrong_hull():
+    # the all-ones [5, 2] vector is the simplex code: self-orthogonal, hull 2
+    with pytest.raises(AssertionError, match="hull dimension 2"):
+        _verify_multiplicity_witness(2, (1, 1, 1, 1, 1), 1)
+
+
+def test_verify_multiplicity_witness_rejects_overclaimed_distance():
+    m, _ = _enumerate_multiplicities(8, 2, 5)
+    _, actual = _verify_multiplicity_witness(2, m, 5)
+    assert actual == 5
+    with pytest.raises(AssertionError, match="distance 5 < 6"):
+        _verify_multiplicity_witness(2, m, 6)
+
+
+def test_random_search_rejects_forged_chunk_distance(monkeypatch):
+    real = search._search_chunk
+
+    def forged(*args):
+        (d, tie), code = real(*args)
+        return (d + 1, tie), code
+
+    monkeypatch.setattr(search, "_search_chunk", forged)
+    with pytest.raises(AssertionError, match="chunk reported"):
+        random_search(8, 4, 1, seed=0, budget=64)
 
 
 def test_random_search_finds_known_cell():
@@ -105,9 +120,10 @@ def test_random_search_finds_known_cell():
     assert hull_dim(o.witness) == 1
 
 
-def test_random_search_deterministic_across_threads():
-    a = random_search(9, 4, 1, seed=3, budget=3072, threads=1)
-    b = random_search(9, 4, 1, seed=3, budget=3072, threads=4)
+def test_random_search_reproducible_across_chunks():
+    # budget 3072 spans three chunks, each with its own RNG stream
+    a = random_search(9, 4, 1, seed=3, budget=3072)
+    b = random_search(9, 4, 1, seed=3, budget=3072)
     assert a.best_d == b.best_d
     assert (a.witness is None) == (b.witness is None)
     if a.witness is not None:
