@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hullforge import gf4, matfmt
+from hullforge import matfmt
 from hullforge.code import LinearCode
 from hullforge.hull import hull_dim
 
@@ -71,9 +71,12 @@ def main():
         if found is None:
             missing.append((n, k, d))
             continue
-        assert found.n == n and found.k == k
-        assert hull_dim(found) == 1
-        assert found.min_distance() == d
+        # an explicit raise, not an assert, so `python -O` cannot store an
+        # unverified matrix
+        actual = (found.n, found.k, hull_dim(found), found.min_distance())
+        if actual != (n, k, 1, d):
+            raise AssertionError(f"annealed code has (n, k, hull dim, d) = "
+                                 f"{actual}, expected {(n, k, 1, d)}")
         matfmt.save(path, found.generator,
                     comment=f"hull-1 witness for [{n},{k},{d}]")
         print(f"stored {path.name}")

@@ -18,7 +18,7 @@ from hullforge.bounds import table5_cells, table5_lookup
 from hullforge.code import LinearCode
 from hullforge.construct import even_length_check_matrix, fixture, fixture_names
 from hullforge.hull import hull_dim
-from hullforge.search import exhaustive_dh, random_search
+from hullforge.search import _append_zero_column, exhaustive_dh, random_search
 
 OUT = Path(__file__).resolve().parents[1] / "src/hullforge/data/witnesses"
 
@@ -42,11 +42,6 @@ def verify(code, n, k):
     d = table5_lookup(n, k)
     return (code is not None and code.n == n and code.k == k
             and hull_dim(code) == 1 and code.min_distance() == d)
-
-
-def zero_pad(code):
-    g = np.hstack([code.generator, np.zeros((code.k, 1), dtype=np.uint8)])
-    return LinearCode.from_generator(g)
 
 
 def hill_climb(n, k, target_d, seed, budget_rounds=40, stream_budget=20_000):
@@ -111,7 +106,7 @@ def attempt(n, k):
             return LinearCode.from_generator(gf4.kernel(gf4.CONJ[h]))
         prev = load_stored(n - 1, k)
         if prev is not None:
-            return zero_pad(prev)
+            return _append_zero_column(prev)
     # fixtures transcribed from explicit matrices
     for name in fixture_names():
         fx = fixture(name)
@@ -123,7 +118,7 @@ def attempt(n, k):
     if n - 1 >= k + 1 and table5_lookup(n - 1, k) == d:
         prev = load_stored(n - 1, k)
         if prev is not None:
-            return zero_pad(prev)
+            return _append_zero_column(prev)
     # the dual of a stored cell has the right dimension and hull; check d
     partner = load_stored(n, n - k)
     if partner is not None:

@@ -55,8 +55,6 @@ def build_parser():
                       help="output path prefix (writes PREFIX.json and PREFIX.csv)")
     p_ta.add_argument("--exhaustive-max-n", type=int, default=0,
                       help="settle k <= 3 cells up to this length by search")
-    p_ta.add_argument("--cache", default=None,
-                      help="advisory JSON cache file, e.g. tables/dh_cache.json")
 
     p_ve = sub.add_parser("verify-paper",
                           help="check fixtures and table reproductions")
@@ -92,11 +90,8 @@ def analysis_record(code: LinearCode, cap=DEFAULT_ENUM_CAP, with_eaqecc=False):
     except BudgetExceededError:
         pass
     if with_eaqecc and rep.hull_dim == 1:
-        first, second = eaqecc.derive_pair(code, cap=cap, strict=False)
-        record["eaqecc"] = [
-            [first.n, first.k, first.d, first.c],
-            [second.n, second.k, second.d, second.c],
-        ]
+        pair = eaqecc.pair_params(code.n, code.k, record["d"], record["dual_d"])
+        record["eaqecc"] = [[p.n, p.k, p.d, p.c] for p in pair]
     return record
 
 
@@ -192,58 +187,40 @@ def cmd_search(args, out):
 # -- table -----------------------------------------------------------------
 
 
-def table_cells(max_n, only_k=None, exhaustive_max_n=0, cache=None):
+def table_cells(max_n, only_k=None, exhaustive_max_n=0):
     """Cells of the hull-1 distance table with method tags."""
     cells = []
     for n in range(2, max_n + 1):
         for k in range(1, n):
             if only_k is not None and k != only_k:
                 continue
-            cell = _table_cell(n, k, exhaustive_max_n, cache)
+            cell = _table_cell(n, k, exhaustive_max_n)
             if cell is not None:
                 cells.append(cell)
     return cells
 
 
-def _table_cell(n, k, exhaustive_max_n, cache):
-    key = f"{n},{k},1"
-    if cache is not None and key in cache:
-        entry = cache[key]
-        return {"n": n, "k": k, "d": entry["d"], "method": entry["method"]}
-    cell = None
+def _table_cell(n, k, exhaustive_max_n):
     if k <= 3 and n <= exhaustive_max_n:
         outcome = search.exhaustive_dh(n, k)
-        cell = {"n": n, "k": k, "d": outcome.best_d, "method": "exhaustive"}
-    else:
-        value = bounds.dh_closed_form(n, k)
-        if value is not None:
-            method = "formula" if value.exact else "bound"
-            cell = {"n": n, "k": k, "d": value.d, "method": method}
-        elif n <= 12:
-            d = bounds.table5_lookup(n, k)
-            try:
-                witnesses.claimed_distance(n, k)
-                method = "witness"
-            except HullforgeError:
-                method = "paper"
-            cell = {"n": n, "k": k, "d": d, "method": method}
-    if cell is not None and cache is not None:
-        cache[key] = {"d": cell["d"], "method": cell["method"]}
-    return cell
+        return {"n": n, "k": k, "d": outcome.best_d, "method": "exhaustive"}
+    value = bounds.dh_closed_form(n, k)
+    if value is not None:
+        method = "formula" if value.exact else "bound"
+        return {"n": n, "k": k, "d": value.d, "method": method}
+    if n <= 12:
+        d = bounds.table5_lookup(n, k)
+        try:
+            witnesses.claimed_distance(n, k)
+            method = "witness"
+        except HullforgeError:
+            method = "paper"
+        return {"n": n, "k": k, "d": d, "method": method}
+    return None
 
 
 def cmd_table(args, out):
-    cache = None
-    cache_path = None
-    if args.cache:
-        cache_path = Path(args.cache)
-        cache = {}
-        if cache_path.exists():
-            cache = json.loads(cache_path.read_text())
-    cells = table_cells(args.max_n, args.k, args.exhaustive_max_n, cache)
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(json.dumps(cache, indent=2, sort_keys=True))
+    cells = table_cells(args.max_n, args.k, args.exhaustive_max_n)
     if args.out:
         Path(args.out + ".json").write_text(json.dumps(cells, indent=2))
         with open(args.out + ".csv", "w", newline="") as fh:

@@ -102,10 +102,7 @@ class LinearCode:
             counts[0] = 1
             return counts
         base_k = min(self.k, _BLOCK_K)
-        block = np.zeros((1, self.n), dtype=np.uint8)
-        for row in self.generator[self.k - base_k:]:
-            scaled = gf4.MUL[:, row]  # (4, n): 0, row, w*row, W*row
-            block = (block[:, None, :] ^ scaled[None, :, :]).reshape(-1, self.n)
+        block = _span(self.generator[self.k - base_k:], self.n)
         prefix_rows = self.generator[: self.k - base_k]
         for coeffs in product(range(4), repeat=len(prefix_rows)):
             p = np.zeros(self.n, dtype=np.uint8)
@@ -115,15 +112,13 @@ class LinearCode:
             counts += np.bincount(w, minlength=self.n + 1)
         return counts
 
-    def codewords(self, cap=DEFAULT_ENUM_CAP):
-        """All 4^k codewords as a (4^k, n) array (small k only)."""
-        if self.k > cap:
-            raise BudgetExceededError(f"k={self.k} exceeds the enumeration cap {cap}")
-        words = np.zeros((1, self.n), dtype=np.uint8)
-        for row in self.generator:
-            scaled = gf4.MUL[:, row]
-            words = (words[:, None, :] ^ scaled[None, :, :]).reshape(-1, self.n)
-        return words
+    def codewords(self):
+        """All 4^k codewords as a (4^k, n) array (k <= DEFAULT_ENUM_CAP)."""
+        if self.k > DEFAULT_ENUM_CAP:
+            raise BudgetExceededError(
+                f"k={self.k} exceeds the enumeration cap {DEFAULT_ENUM_CAP}"
+            )
+        return _span(self.generator, self.n)
 
     # -- duality and coordinate operations ---------------------------------
 
@@ -184,6 +179,16 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k})"
+
+
+def _span(rows, n):
+    """All 4^r GF(4) combinations of the r given rows as a (4^r, n) array;
+    the coefficient of the last row varies fastest."""
+    words = np.zeros((1, n), dtype=np.uint8)
+    for row in rows:
+        scaled = gf4.MUL[:, row]  # (4, n): 0, row, w*row, W*row
+        words = (words[:, None, :] ^ scaled[None, :, :]).reshape(-1, n)
+    return words
 
 
 def _check_coords(coords, n):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from . import witnesses
 from .bounds import k3_value
-from .code import DEFAULT_ENUM_CAP, LinearCode
-from .exceptions import BudgetExceededError, OutOfRangeError, WrongHullDimensionError
+from .code import LinearCode
+from .exceptions import OutOfRangeError, WrongHullDimensionError
 from .hull import hull_dim
 
 
@@ -25,30 +25,25 @@ class EaqeccParams:
         return f"[[{self.n},{self.k},{d};{self.c}]]"
 
 
-def derive_pair(c: LinearCode, cap=DEFAULT_ENUM_CAP, strict=True):
+def pair_params(n, k, d, dual_d):
+    """The [[n, k-1, d; n-k-1]] and [[n, n-k-1, dual_d; k-1]] EAQECCs of a
+    hull-1 quaternary [n, k, d] code whose Hermitian dual has distance
+    dual_d; either distance may be None (unknown)."""
+    return (EaqeccParams(n, k - 1, d, n - k - 1),
+            EaqeccParams(n, n - k - 1, dual_d, k - 1))
+
+
+def derive_pair(c: LinearCode):
     """The two EAQECCs of a hull-1 code.
 
-    With strict=False a distance side beyond the enumeration cap is reported
-    as None instead of raising.
+    Raises BudgetExceededError when either distance side is beyond the
+    enumeration cap.
     """
-    if hull_dim(c) != 1:
-        raise WrongHullDimensionError(
-            f"hull dimension is {hull_dim(c)}, need exactly 1"
-        )
-    d = _distance_or_none(c, cap, strict)
-    dual_d = _distance_or_none(c.hermitian_dual(), cap, strict)
-    first = EaqeccParams(c.n, c.k - 1, d, c.n - c.k - 1)
-    second = EaqeccParams(c.n, c.n - c.k - 1, dual_d, c.k - 1)
-    return first, second
-
-
-def _distance_or_none(c, cap, strict):
-    try:
-        return c.min_distance(cap)
-    except BudgetExceededError:
-        if strict:
-            raise
-        return None
+    dim = hull_dim(c)
+    if dim != 1:
+        raise WrongHullDimensionError(f"hull dimension is {dim}, need exactly 1")
+    return pair_params(c.n, c.k, c.min_distance(),
+                       c.hermitian_dual().min_distance())
 
 
 def corollary_family(s, t):
@@ -59,7 +54,7 @@ def corollary_family(s, t):
     n = 21 * s + t
     if n < 4:
         raise OutOfRangeError("family starts at length 4")
-    return EaqeccParams(n, 2, k3_value(n).d, n - 4)
+    return pair_params(n, 3, k3_value(n).d, None)[0]
 
 
 # [d; c] cells for n <= 12, column index k = (quaternary dimension) - 1,
@@ -89,14 +84,14 @@ def table6_cells():
             yield n, k, dc
 
 
-def table6_entry(n, k, cap=DEFAULT_ENUM_CAP):
+def table6_entry(n, k):
     """(d, c) for the n <= 12 EAQECC table, recomputed from the stored
     hull-1 witness of the underlying quaternary [n, k+1] code and
     cross-checked against the literal table."""
     if n not in _TABLE6 or not 0 <= k < len(_TABLE6[n]):
         raise OutOfRangeError(f"no EAQECC table cell for (n={n}, k={k})")
     code = witnesses.witness(n, k + 1)
-    first, _ = derive_pair(code, cap=cap)
+    first, _ = derive_pair(code)
     derived = (first.d, first.c)
     if derived != _TABLE6[n][k]:
         raise AssertionError(
@@ -127,7 +122,7 @@ def table7_comparison():
     larger entanglement."""
     report = []
     for n, (known, (qn, qk, qd)) in sorted(TABLE7_REFERENCE.items()):
-        ours = EaqeccParams(qn, qk - 1, qd, qn - qk - 1)
+        ours, _ = pair_params(qn, qk, qd, None)
         better_d = all(ours.d > kd for (_, _, kd, kc) in known if kc >= ours.c)
         smaller_c = all(ours.c < kc or ours.d > kd for (_, _, kd, kc) in known)
         report.append({

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .code import DEFAULT_ENUM_CAP, LinearCode
+from .code import LinearCode
 
 
 class HullClass(enum.Enum):
@@ -46,11 +46,11 @@ def hull_dim(c: LinearCode) -> int:
     return c.k - gf4.rank(gf4.hermitian_gram(c.generator))
 
 
-def is_even(c: LinearCode, cap=DEFAULT_ENUM_CAP) -> bool:
+def is_even(c: LinearCode) -> bool:
     """True iff every codeword has even Hamming weight (<=> Hermitian SO)."""
     if c.k == 0:
         return True
-    wd = c.weight_distribution(cap)
+    wd = c.weight_distribution()
     return all(ct == 0 for w, ct in enumerate(wd.counts) if w % 2 == 1)
 
 

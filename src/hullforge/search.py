@@ -256,11 +256,8 @@ def certify_nonexistence(n, k, d):
 # -- randomized search -----------------------------------------------------
 
 
-def _hull_dim_from_generator(g):
-    return g.shape[0] - gf4.rank(gf4.hermitian_gram(g))
-
-
 def _standard_form(k, n, a):
+    """[I_k | a]: full rank and already in RREF."""
     g = np.zeros((k, n), dtype=np.uint8)
     g[:, :k] = np.eye(k, dtype=np.uint8)
     g[:, k:] = a
@@ -275,30 +272,26 @@ def _search_chunk(n, k, seed, chunk_index, size):
     current = None
     for j in range(size):
         mode = j % 3
-        g = None
+        code = None
         if mode == 1 and current is not None:
             a = current.copy()
             a[rng.integers(k), rng.integers(n - k)] = rng.integers(4)
-            g = _standard_form(k, n, a)
+            code = LinearCode(_standard_form(k, n, a))
             current = a
         elif mode == 2 and k + 1 <= n:
             b = rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8)
-            lifted = _standard_form(k + 1, n + 1, b)
-            if _hull_dim_from_generator(lifted) == 2:
-                lifted_code = LinearCode.from_generator(lifted)
-                pivots = hull_information_set(lifted_code)
+            lifted = LinearCode(_standard_form(k + 1, n + 1, b))
+            if hull_dim(lifted) == 2:
+                pivots = hull_information_set(lifted)
                 if pivots:
-                    shortened = lifted_code.shorten({pivots[0]})
+                    shortened = lifted.shorten({pivots[0]})
                     if shortened.k == k and shortened.n == n:
-                        g = shortened.generator
-        if g is None:
+                        code = shortened
+        if code is None:
             a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
-            g = _standard_form(k, n, a)
+            code = LinearCode(_standard_form(k, n, a))
             current = a
-        if _hull_dim_from_generator(g) != 1:
-            continue
-        code = LinearCode.from_generator(g)
-        if code.k != k:
+        if hull_dim(code) != 1:
             continue
         d = code.min_distance()
         key = (d, _neg_bytes(code.generator.tobytes()))

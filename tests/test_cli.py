@@ -5,6 +5,7 @@ import pytest
 
 from hullforge import matfmt
 from hullforge.cli import main
+from hullforge.code import LinearCode
 from hullforge.construct import fixture
 
 
@@ -38,6 +39,24 @@ def test_analyze_json(fixture_file, capsys):
     assert record["class"] == "proper"
     assert record["eaqecc"][0] == [9, 3, 5, 4]
     assert sum(record["weights"]) == 4**4
+
+
+def test_analyze_eaqecc_enumerates_code_and_dual_once(fixture_file, capsys,
+                                                     monkeypatch):
+    calls = []
+    count_weights = LinearCode._count_weights
+
+    def counting(self, cap):
+        calls.append((self.n, self.k))
+        return count_weights(self, cap)
+
+    monkeypatch.setattr(LinearCode, "_count_weights", counting)
+    status, captured = run(capsys, "analyze", str(fixture_file), "--eaqecc",
+                           "--format", "json")
+    assert status == 0
+    assert json.loads(captured.out)["eaqecc"] == [[9, 3, 5, 4], [9, 4, 4, 3]]
+    # one enumeration of the code, one of its Hermitian dual
+    assert sorted(calls) == [(9, 4), (9, 5)]
 
 
 def test_analyze_csv(fixture_file, capsys):
@@ -83,6 +102,7 @@ def test_analyze_missing_file(capsys):
 def test_usage_error(capsys):
     assert main([]) == 2
     assert main(["analyze"]) == 2
+    assert main(["table", "--cache", "x.json"]) == 2
 
 
 def test_search_exhaustive_small(capsys):
@@ -144,20 +164,13 @@ def test_table_matches_reference_everywhere(capsys):
 
 def test_table_exhaustive_and_files(tmp_path, capsys):
     prefix = str(tmp_path / "table")
-    cache = str(tmp_path / "cache.json")
     status, captured = run(capsys, "table", "--max-n", "8", "--k", "2",
-                           "--exhaustive-max-n", "8", "--out", prefix,
-                           "--cache", cache)
+                           "--exhaustive-max-n", "8", "--out", prefix)
     assert status == 0
     cells = json.loads((tmp_path / "table.json").read_text())
     assert all(c["method"] == "exhaustive" for c in cells)
     assert {(c["n"], c["d"]) for c in cells} == {(3, 1), (4, 3), (5, 3),
                                                 (6, 4), (7, 5), (8, 5)}
-    cached = json.loads((tmp_path / "cache.json").read_text())
-    assert cached["8,2,1"]["d"] == 5
-    # second run is served from the cache file
-    status, _ = run(capsys, "table", "--max-n", "8", "--k", "2", "--cache", cache)
-    assert status == 0
 
 
 def test_verify_paper(capsys):

@@ -9,6 +9,7 @@ from hullforge.eaqecc import (
     EaqeccParams,
     corollary_family,
     derive_pair,
+    pair_params,
     table6_cells,
     table6_entry,
     table7_comparison,
@@ -23,6 +24,10 @@ def test_derive_pair_from_fixture():
     # the second distance is the dual distance of the quaternary code
     dual_d = fixture("G_[9,4,5]").code().hermitian_dual().min_distance()
     assert second.d == dual_d
+    # the same pair from the parameters alone, unknown distances kept as None
+    assert pair_params(9, 4, 5, dual_d) == (first, second)
+    assert pair_params(9, 4, None, None) == (EaqeccParams(9, 3, None, 4),
+                                             EaqeccParams(9, 4, None, 3))
 
 
 def test_derive_pair_requires_hull_one():
