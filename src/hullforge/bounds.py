@@ -56,8 +56,18 @@ def sphere_packing_max_d(n, k):
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    d = 1
-    while d < n - k + 1 and sphere_packing_holds(n, k, d + 1):
+    # the ball volume sum_{i <= radius} 3^i C(n, i) grows term by term, so
+    # the scan makes O(n) big-int steps instead of O(n^2); d + 1 has radius
+    # d // 2
+    room = 4 ** (n - k)
+    d, radius, term, volume = 1, 0, 1, 1
+    while d < n - k + 1:
+        if d % 2 == 0:
+            radius += 1
+            term = term * 3 * (n - radius + 1) // radius
+            volume += term
+        if volume > room:
+            break
         d += 1
     return d
 

@@ -85,8 +85,10 @@ def analysis_record(code: LinearCode, cap=DEFAULT_ENUM_CAP, with_eaqecc=False):
         record["weights"] = list(wd.counts)
     except BudgetExceededError:
         pass
+    dual = code.hermitian_dual()
     try:
-        record["dual_d"] = code.hermitian_dual().min_distance(cap)
+        # a full-space code has the zero code as dual: no distance to report
+        record["dual_d"] = dual.min_distance(cap) if dual.k else None
     except BudgetExceededError:
         pass
     if with_eaqecc and rep.hull_dim == 1:

@@ -5,7 +5,7 @@ the multiplicity-vector representation: every code without a zero column is
 equivalent to a code whose generator columns are simplex columns with
 multiplicities m_i, so enumerating m with column-count pruning is a complete
 search over that class.  Codes with a zero column (dual distance 1) are
-covered by recursing on length n - 1.
+covered by the result at length n - 1; the lengths k..n are solved bottom-up.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: a
 serial run over fixed-size chunks, each with its own RNG stream, so a seed
@@ -68,6 +68,11 @@ class _ProjectiveGeometry:
     message, so weights are Z @ m for a fixed 0/1 incidence matrix Z; the
     Gram matrix is the XOR of the per-column rank-one Gram blocks with odd
     multiplicity.
+
+    The DFS works on Python integers derived from these tables: a weight
+    vector is packed into one int of `bits`-bit lanes (`pack`), and a Gram
+    matrix into one int of 2-bit entries (`gram_bits`, unpacked again only
+    by `gram_rank`).
     """
 
     def __init__(self, k):
@@ -76,15 +81,26 @@ class _ProjectiveGeometry:
         s = simplex_matrix(k)
         # Z[x, i] = 1 iff class-x messages are nonzero on column i
         self.incidence = (gf4.matmul(s.T, s) != 0).astype(np.int64)
-        # rank-one Hermitian Gram blocks h_i conj(h_i)^T, flattened
-        blocks = []
+        # rank-one Hermitian Gram blocks h_i conj(h_i)^T, flattened and
+        # packed as 2-bit entries
+        self.gram_bits = []
         for i in range(self.length):
             col = s[:, i: i + 1]
-            blocks.append(gf4.matmul(col, gf4.conj_transpose(col)).reshape(-1))
-        self.gram_blocks = np.array(blocks, dtype=np.uint8)
+            block = gf4.matmul(col, gf4.conj_transpose(col)).reshape(-1)
+            self.gram_bits.append(self.pack(block, 2))
         # incidence column suffix sums, for distance pruning
         self.suffix = np.zeros((self.length, self.length + 1), dtype=np.int64)
         self.suffix[:, :-1] = np.cumsum(self.incidence[:, ::-1], axis=1)[:, ::-1]
+
+    @staticmethod
+    def pack(values, bits):
+        """values[x] in lane x: bits [x * bits, (x + 1) * bits) of one int."""
+        return sum(int(v) << (x * bits) for x, v in enumerate(values))
+
+    def gram_rank(self, packed):
+        k = self.k
+        flat = [(packed >> (2 * j)) & 3 for j in range(k * k)]
+        return gf4.rank(np.array(flat, dtype=np.uint8).reshape(k, k))
 
 
 _GEOMETRY = {}
@@ -110,68 +126,95 @@ def multiplicity_bounds(n, k, d):
     return lower, min(upper, n)
 
 
-def _gram_rank(flat, k):
-    return gf4.rank(flat.reshape(k, k))
-
-
 def _enumerate_multiplicities(n, k, d):
     """Walk the multiplicity vectors of weight >= d, pruned by the column
     bounds, until the first hull-1 hit.
 
-    Returns (witness_m or None, vectors_examined).
+    Returns (witness_m or None, vectors_examined).  vectors_examined counts
+    every complete vector that the column bounds and the suffix pruning let
+    through, up to and including the witness, whether or not its weights
+    reach d.
+
+    The walk runs on Python ints, with no numpy call per node.  The weight
+    vector is one int with a `bits`-bit lane per projective class; adding
+    `bias` = 2^(bits-1) - d to every lane sets a lane's top bit exactly when
+    its weight is >= d, so "every weight >= d" is one mask test against
+    `high`.  `bits` grows with n so that no lane, even with the maxed-out
+    suffix and the bias added, carries into the next.  The Gram matrix is
+    one int of 2-bit entries, ranked only at leaves that reach weight d.
     """
     geo = _geometry(k)
     length = geo.length
     lower, upper = multiplicity_bounds(n, k, d)
     if upper < lower or upper * length < n or lower * length > n:
         return None, 0
-    inc = geo.incidence
-    suffix = geo.suffix
-    blocks = geo.gram_blocks
+    ranks = {}  # packed Gram -> rank
+
+    def hull_one(gram):
+        if gram not in ranks:
+            ranks[gram] = geo.gram_rank(gram)
+        return ranks[gram] == k - 1
+
+    gram_bits = geo.gram_bits
+    last = length - 1
+    if last == 0:
+        # k = 1: the single column takes all of n, which the checks above
+        # put inside [lower, upper], so this one vector is the only leaf
+        hit = n >= d and hull_one(gram_bits[0] if n % 2 else 0)
+        return ((n,) if hit else None), 1
+
+    bits = (max(n, d) * (length + 2)).bit_length() + 1
+    ones = geo.pack([1] * length, bits)
+    high = ones << (bits - 1)
+    bias = high - d * ones
+    inc = [geo.pack(geo.incidence[:, i], bits) for i in range(length)]
+    # weights + prune[pos] has every top bit set iff a maxed-out suffix from
+    # pos on can still lift every weight to d
+    prune = [upper * geo.pack(geo.suffix[:, i], bits) + bias for i in range(length)]
+    orders = {}  # (pos, remaining) -> value order; lo and hi follow from both
     m = [0] * length
-    weights = np.zeros(length, dtype=np.int64)
     examined = 0
     witness = None
 
-    def recurse(pos, remaining, gram):
-        nonlocal examined, witness, weights
-        if witness is not None:
+    def recurse(pos, remaining, weights, gram):
+        # the caller has checked prune[pos]; the last column takes the rest
+        nonlocal examined, witness
+        order = orders.get((pos, remaining))
+        if order is None:
+            # feasibility of the remaining sum
+            lo = max(lower, remaining - upper * (last - pos))
+            hi = min(upper, remaining - lower * (last - pos))
+            # try the value closest to the running mean first: witnesses
+            # sit near balanced multiplicities, so they surface much earlier
+            mean = remaining / (length - pos)
+            order = sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x))
+            orders[pos, remaining] = order
+        step = inc[pos]
+        block = gram_bits[pos]
+        if pos + 1 == last:
+            # leaves: lo and hi keep the rest inside [lower, upper]
+            for v in order:
+                examined += 1
+                rest = remaining - v
+                if (weights + v * step + rest * inc[last] + bias) & high == high:
+                    gram_v = gram ^ block if v % 2 else gram
+                    if hull_one(gram_v ^ gram_bits[last] if rest % 2 else gram_v):
+                        m[pos], m[last] = v, rest
+                        witness = tuple(m)
+                        return
             return
-        if pos == length - 1:
-            if not lower <= remaining <= upper:
-                return
-            m[pos] = remaining
-            examined += 1
-            w = weights + remaining * inc[:, pos]
-            if w.min() >= d:
-                g = gram ^ blocks[pos] if remaining % 2 else gram
-                if _gram_rank(g, k) == k - 1:
-                    witness = tuple(m)
-            m[pos] = 0
-            return
-        # feasibility of the remaining sum
-        lo = max(lower, remaining - upper * (length - pos - 1))
-        hi = min(upper, remaining - lower * (length - pos - 1))
-        if hi < lo:
-            return
-        # even a maxed-out suffix cannot reach weight d: prune
-        if (weights + upper * suffix[:, pos]).min() < d:
-            return
-        # try the value closest to the running mean first: witnesses sit
-        # near balanced multiplicities, so they surface much earlier
-        mean = remaining / (length - pos)
-        for v in sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x)):
+        ahead = prune[pos + 1]
+        for v in order:
+            w = weights + v * step
+            if (w + ahead) & high != high:
+                continue
             m[pos] = v
-            weights_add = v * inc[:, pos]
-            weights += weights_add
-            g = gram ^ blocks[pos] if v % 2 else gram
-            recurse(pos + 1, remaining - v, g)
-            weights -= weights_add
-            m[pos] = 0
+            recurse(pos + 1, remaining - v, w, gram ^ block if v % 2 else gram)
             if witness is not None:
                 return
 
-    recurse(0, n, np.zeros(k * k, dtype=np.uint8))
+    if prune[0] & high == high:
+        recurse(0, n, 0, 0)
     return witness, examined
 
 
@@ -196,7 +239,7 @@ def exhaustive_dh(n, k):
 
     Scans d downward from the classical bounds; the first d with a
     multiplicity-vector witness (or a zero-column lift of a shorter witness)
-    is exact.
+    is exact.  `explored` is cumulative over the lengths k..n.
     """
     if k not in (1, 2, 3):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
@@ -205,8 +248,20 @@ def exhaustive_dh(n, k):
     key = (n, k)
     if key in _EXHAUSTIVE_CACHE:
         return _EXHAUSTIVE_CACHE[key]
-
+    # fill the shorter lengths bottom-up, so that the call on n - 1 below is
+    # a cache hit and the call depth stays flat for any n
+    for length in range(k, n - 1):
+        if (length, k) not in _EXHAUSTIVE_CACHE:
+            shorter = _EXHAUSTIVE_CACHE.get((length - 1, k))
+            _EXHAUSTIVE_CACHE[length, k] = _exhaustive_length(length, k, shorter)
     shorter = exhaustive_dh(n - 1, k) if n - 1 >= k else None
+    outcome = _exhaustive_length(n, k, shorter)
+    _EXHAUSTIVE_CACHE[key] = outcome
+    return outcome
+
+
+def _exhaustive_length(n, k, shorter):
+    """exhaustive_dh at length n, given its outcome at length n - 1."""
     dmax = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
     explored = shorter.explored if shorter else 0
     best_d = 0
@@ -224,9 +279,7 @@ def exhaustive_dh(n, k):
     if shorter and shorter.best_d > best_d:
         best_d = shorter.best_d
         witness = _append_zero_column(shorter.witness) if shorter.witness else None
-    outcome = SearchOutcome(best_d, witness, exhaustive=True, explored=explored)
-    _EXHAUSTIVE_CACHE[key] = outcome
-    return outcome
+    return SearchOutcome(best_d, witness, exhaustive=True, explored=explored)
 
 
 def _append_zero_column(code):

@@ -59,6 +59,7 @@ def test_max_d_values_are_consistent(n, data):
     assert griesmer_holds(n, k, g)
     assert not griesmer_holds(n, k, g + 1)
     assert sphere_packing_holds(n, k, s)
+    assert s == n - k + 1 or not sphere_packing_holds(n, k, s + 1)
 
 
 def test_k1_values():

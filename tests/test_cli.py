@@ -29,6 +29,16 @@ def test_analyze_text(fixture_file, capsys):
     assert "[[9,3,5;4]]" in captured.out
 
 
+def test_analyze_full_space_code(tmp_path, capsys):
+    # the Hermitian dual of a full-space code is the zero code
+    path = tmp_path / "I3.g4m"
+    path.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")
+    status, captured = run(capsys, "analyze", str(path))
+    assert status == 0
+    assert captured.out.startswith(
+        "[3,3,1] code, dual distance None, hull dimension 0 (LCD)\n")
+
+
 def test_analyze_json(fixture_file, capsys):
     status, captured = run(capsys, "analyze", str(fixture_file),
                            "--format", "json", "--eaqecc")

@@ -1,10 +1,16 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from hullforge import search
 from hullforge.bounds import dh_closed_form, table5_lookup
 from hullforge.code import LinearCode
-from hullforge.construct import MultiplicityVector, code_from_multiplicity
+from hullforge.construct import (
+    MultiplicityVector,
+    code_from_multiplicity,
+    simplex_matrix,
+)
 from hullforge.exceptions import UnsupportedError
 from hullforge.hull import hull_dim
 from hullforge.search import (
@@ -54,6 +60,67 @@ def test_exhaustive_k3_matches_table():
         assert o.best_d == table5_lookup(n, 3)
         assert o.witness.min_distance() == o.best_d
         assert hull_dim(o.witness) == 1
+
+
+def test_exhaustive_long_k1_runs_without_deep_recursion():
+    # each length builds on the one before; n = 1100 used to recurse 1100 deep
+    assert exhaustive_dh(1100, 1).best_d == dh_closed_form(1100, 1).d
+
+
+# multiplicity vectors the k = 3 DFS examines, as printed by `search n 3`;
+# any change to its visit order or pruning moves these counts
+K3_EXPLORED = dict(zip(range(4, 23), (
+    1324, 18652, 55903, 55904, 55929, 55979, 252285, 389954, 389957, 399835,
+    408560, 435860, 444594, 444595, 444598, 444599, 444620, 444623, 444627,
+)))
+
+
+def test_exhaustive_k3_traversal_counts():
+    assert {n: exhaustive_dh(n, 3).explored for n in K3_EXPLORED} == K3_EXPLORED
+
+
+@pytest.mark.parametrize("n, d, examined", [
+    (16, 12, 8733), (10, 7, 196306), (11, 8, 137666), (15, 11, 27300),
+    (6, 4, 37240), (5, 4, 0), (20, 15, 21),
+])
+def test_certificate_traversal_counts(n, d, examined):
+    cert = certify_nonexistence(n, 3, d)
+    assert isinstance(cert, NonexistenceCertificate)
+    assert cert.vectors_examined == examined
+
+
+def test_weight_lanes_do_not_overflow_at_large_n():
+    # raising every multiplicity by an even s keeps the Gram parity and adds
+    # 16s to every weight, so the DFS at (21s + 16, 3, 16s + 12) is the one
+    # at (16, 3, 12) shifted by s
+    s = 4096
+    shifted = _enumerate_multiplicities(21 * s + 16, 3, 16 * s + 12)
+    assert shifted == _enumerate_multiplicities(16, 3, 12) == (None, 8733)
+    # far below the best distance every prune sum is about 16n, which a
+    # lane width fixed for small n carries into the next lane
+    m, examined = _enumerate_multiplicities(2500, 3, 1)
+    assert examined == 242
+    _verify_multiplicity_witness(3, m, 1)
+
+
+@pytest.mark.parametrize("n, d", [(16, 12), (15, 11), (20, 15), (14, 10)])
+def test_zero_one_multiplicities_agree_with_brute_force(n, d):
+    # where every multiplicity is 0 or 1, try every support of size n, with
+    # weights read off the simplex codewords instead of the DFS tables;
+    # (14, 10) has a witness, the other three are certificates
+    assert multiplicity_bounds(n, 3, d) == (0, 1)
+    words = LinearCode(simplex_matrix(3)).codewords()
+    support = (words[words.any(axis=1)] != 0).astype(np.int64)
+    chosen = np.array(list(combinations(range(support.shape[1]), n)))
+    vectors = np.zeros((len(chosen), support.shape[1]), dtype=np.int64)
+    np.put_along_axis(vectors, chosen, 1, axis=1)
+    heavy = vectors[(vectors @ support.T).min(axis=1) >= d]
+    exists = any(
+        hull_dim(code_from_multiplicity(MultiplicityVector(3, tuple(m)))) == 1
+        for m in heavy
+    )
+    witness, _ = _enumerate_multiplicities(n, 3, d)
+    assert (witness is not None) == exists
 
 
 def test_exhaustive_rejects_large_k():
