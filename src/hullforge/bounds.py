@@ -8,7 +8,7 @@ closed forms alone.
 
 import enum
 from dataclasses import dataclass
-from math import ceil, comb
+from math import comb
 
 from .exceptions import OutOfRangeError
 
@@ -29,17 +29,33 @@ class DhValue:
 
 
 def griesmer_holds(n, k, d):
-    return n >= sum(ceil(d / 4**i) for i in range(k))
+    """n >= sum_{i<k} ceil(d / 4^i), summed exactly; every term with
+    4^i >= d > 0 is 1, so at most log4(d) + 1 terms are computed."""
+    total, power = 0, 1
+    for i in range(k):
+        if 0 < d <= power:
+            return n >= total + (k - i)
+        total += -(-d // power)
+        power *= 4
+    return n >= total
 
 
 def griesmer_max_d(n, k):
-    """Largest d with n >= sum_{i<k} ceil(d / 4^i)."""
+    """Largest d with n >= sum_{i<k} ceil(d / 4^i).
+
+    The sum is nondecreasing in d and its first term is d, so the answer
+    lies in [0, n] and is found by bisection.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    d = 0
-    while griesmer_holds(n, k, d + 1):
-        d += 1
-    return d
+    lo, hi = 0, n + 1  # griesmer_holds at lo, fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if griesmer_holds(n, k, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def sphere_packing_holds(n, k, d):

@@ -1,11 +1,11 @@
 """The [n,k,d] quaternary linear code abstraction.
 
 Distance and weight data come from exhaustive codeword enumeration, capped by
-dimension (DEFAULT_ENUM_CAP).  Generators are kept in RREF so equality checks
-and serialization are deterministic; column order is never changed.
+dimension (DEFAULT_ENUM_CAP).  Generators are uint8 arrays holding one symbol
+per byte, kept in RREF so equality checks and serialization are
+deterministic; column order is never changed.  The enumeration packs the rows
+into two uint64 bit planes and takes each weight as popcount(p0 | p1).
 """
-
-from itertools import product
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .exceptions import (
 
 DEFAULT_ENUM_CAP = 14
 
-# rows handled in one dense numpy block during enumeration; the rest are
-# looped over as prefixes (4^(k - _BLOCK_K) iterations)
+# rows expanded into one packed block of 4^_BLOCK_K words during enumeration;
+# the rest are looped over as prefixes (4^(k - _BLOCK_K) iterations)
 _BLOCK_K = 9
 
 
@@ -101,15 +101,20 @@ class LinearCode:
         if self.k == 0:
             counts[0] = 1
             return counts
-        base_k = min(self.k, _BLOCK_K)
-        block = _span(self.generator[self.k - base_k:], self.n)
-        prefix_rows = self.generator[: self.k - base_k]
-        for coeffs in product(range(4), repeat=len(prefix_rows)):
-            p = np.zeros(self.n, dtype=np.uint8)
-            for c, row in zip(coeffs, prefix_rows):
-                p ^= gf4.MUL[c, row]
-            w = np.count_nonzero(block ^ p, axis=1)
-            counts += np.bincount(w, minlength=self.n + 1)
+        multiples = _plane_multiples(self.generator)
+        split = self.k - min(self.k, _BLOCK_K)
+        block = _plane_span(multiples[split:])
+        prefixes = _plane_span(multiples[:split])
+        mixed = np.empty_like(block)
+        union = np.empty_like(block[0])
+        weights = np.empty(block.shape[2], dtype=np.intp)
+        for i in range(prefixes.shape[2]):
+            np.bitwise_xor(block, prefixes[:, :, i: i + 1], out=mixed)
+            np.bitwise_or(mixed[0], mixed[1], out=union)
+            np.bitwise_count(union[0], out=weights)
+            for word in union[1:]:
+                weights += np.bitwise_count(word)
+            counts += np.bincount(weights, minlength=self.n + 1)
         return counts
 
     def codewords(self):
@@ -188,6 +193,34 @@ def _span(rows, n):
     for row in rows:
         scaled = gf4.MUL[:, row]  # (4, n): 0, row, w*row, W*row
         words = (words[:, None, :] ^ scaled[None, :, :]).reshape(-1, n)
+    return words
+
+
+def _plane_multiples(rows):
+    """The multiples 0, 1, w, W of each of the r given rows, packed as bit
+    planes: a (r, 2, W, 4) uint64 array, W = ceil(n / 64), with column j at
+    bit j mod 64 of word j // 64."""
+    r, n = rows.shape
+    bits = np.zeros((2, r, 64 * (-(-n // 64))), dtype=np.uint8)
+    bits[0, :, :n] = rows & 1
+    bits[1, :, :n] = rows >> 1
+    a0, a1 = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+    a2 = a0 ^ a1
+    zero = np.zeros_like(a0)
+    # c * (a0, a1) = (a0, a1), (a1, a0 ^ a1), (a0 ^ a1, a0) for c = 1, w, W
+    lo = np.stack([zero, a0, a1, a2], axis=-1)
+    hi = np.stack([zero, a1, a2, a0], axis=-1)
+    return np.stack([lo, hi], axis=1)
+
+
+def _plane_span(multiples):
+    """All 4^r combinations of the rows behind `multiples` as a (2, W, 4^r)
+    pair of bit planes; the coefficient of the last row varies fastest."""
+    words = np.zeros((2, multiples.shape[2], 1), dtype=np.uint64)
+    for scaled in multiples:
+        words = (words[:, :, :, None] ^ scaled[:, :, None, :]).reshape(
+            2, scaled.shape[1], -1
+        )
     return words
 
 

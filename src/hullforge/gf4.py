@@ -3,8 +3,10 @@
 Elements are encoded in 2 bits as 0, 1, w (omega), W (omega^2) -> 0, 1, 2, 3,
 with 1 -> 0b01 and w -> 0b10.  In this basis field addition is bitwise XOR;
 multiplication goes through a 16-entry table.  Matrices are plain numpy uint8
-arrays with values in 0..3, treated as immutable by convention (helpers never
-mutate their inputs).
+arrays holding one symbol per byte, values in 0..3, treated as immutable by
+convention (helpers never mutate their inputs).  Internally, `rref` and
+`rank` pack each row into two GF(2) bit planes held as Python ints, and
+`matmul` splits its operands into bit planes for the duration of one call.
 """
 
 import numpy as np
@@ -70,42 +72,89 @@ def conj_transpose(m):
     return CONJ[m].T.copy()
 
 
+# m & _PLANE_MASKS stacks the 1-bit and the w-bit planes of a matrix m
+_PLANE_MASKS = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
+
+
+def _eliminate(m):
+    """Gauss-Jordan elimination of a uint8 matrix on packed rows.
+
+    Row i is held as two Python ints (lo[i], hi[i]), the 1-bit and the w-bit
+    planes of its symbols, with column j at bit j.  Pivot search scans left
+    to right, top to bottom.  Returns (lo, hi, pivots); the rows past
+    len(pivots) end up zero.
+    """
+    nrows, ncols = m.shape
+    if nrows == 0 or ncols == 0:
+        return [0] * nrows, [0] * nrows, []
+    raw = np.packbits(m & _PLANE_MASKS, axis=2, bitorder="little").tobytes()
+    step = (ncols + 7) // 8
+    planes = [
+        int.from_bytes(raw[i: i + step], "little") for i in range(0, len(raw), step)
+    ]
+    lo, hi = planes[:nrows], planes[nrows:]
+    pivots = []
+    row = 0
+    while row < nrows:
+        # the next pivot column is the lowest one that is nonzero in a row
+        # from `row` on (the columns left of it are zero there); its pivot
+        # row is the first such row
+        pivot, bit = None, 0
+        for i in range(row, nrows):
+            v = lo[i] | hi[i]
+            if v and (pivot is None or v & -v < bit):
+                pivot, bit = i, v & -v
+        if pivot is None:
+            break
+        lo[row], lo[pivot] = lo[pivot], lo[row]
+        hi[row], hi[pivot] = hi[pivot], hi[row]
+        a, b = lo[row], hi[row]
+        if b & bit:
+            # scale by the inverse of the pivot: w * (a, b) = (b, a ^ b),
+            # W * (a, b) = (a ^ b, a)
+            a, b = (b, a ^ b) if a & bit else (a ^ b, a)
+            lo[row], hi[row] = a, b
+        for i in range(nrows):
+            if i == row:
+                continue
+            x, y = lo[i] & bit, hi[i] & bit
+            if not (x or y):
+                continue
+            # subtract entry * pivot row
+            if not y:
+                lo[i] ^= a
+                hi[i] ^= b
+            elif not x:
+                lo[i] ^= b
+                hi[i] ^= a ^ b
+            else:
+                lo[i] ^= a ^ b
+                hi[i] ^= a
+        pivots.append(bit.bit_length() - 1)
+        row += 1
+    return lo, hi, pivots
+
+
 def rref(m):
     """Reduced row-echelon form.
 
     Returns (R, pivots).  Pivot search scans left to right, top to bottom,
     so the output is deterministic.
     """
-    r = np.array(m, dtype=np.uint8, copy=True)
-    nrows, ncols = r.shape
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        pivot = None
-        for i in range(row, nrows):
-            if r[i, col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        if r[row, col] != 1:
-            r[row] = MUL[CONJ[r[row, col]], r[row]]
-        for i in range(nrows):
-            if i != row and r[i, col]:
-                r[i] ^= MUL[r[i, col], r[row]]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    m = np.asarray(m, dtype=np.uint8)
+    nrows, ncols = m.shape
+    lo, hi, pivots = _eliminate(m)
+    step = (ncols + 7) // 8
+    raw = b"".join(x.to_bytes(step, "little") for x in lo + hi)
+    planes = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(2, nrows, step),
+        axis=2, count=ncols, bitorder="little",
+    )
+    return planes[0] | (planes[1] << 1), pivots
 
 
 def rank(m):
-    if m.size == 0:
-        return 0
-    return len(rref(m)[1])
+    return len(_eliminate(np.asarray(m, dtype=np.uint8))[2])
 
 
 def kernel(m):

@@ -35,6 +35,10 @@ from .hull import hull_dim, hull_information_set
 
 _RANDOM_CHUNK = 1024
 
+# byte x -> 255 - x: a larger translated key is a lexicographically smaller
+# generator, so a higher (d, key) prefers the smaller generator on ties
+_NEG = bytes(range(255, -1, -1))
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -347,15 +351,10 @@ def _search_chunk(n, k, seed, chunk_index, size):
         if hull_dim(code) != 1:
             continue
         d = code.min_distance()
-        key = (d, _neg_bytes(code.generator.tobytes()))
+        key = (d, code.generator.tobytes().translate(_NEG))
         if best is None or key > best[0]:
             best = (key, code)
     return best
-
-
-def _neg_bytes(b):
-    # order so that higher tuple compares prefer lexicographically *smaller* bytes
-    return bytes(255 - x for x in b)
 
 
 def random_search(n, k, target_d, seed, budget):

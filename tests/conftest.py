@@ -28,6 +28,35 @@ def _poly_mul(a, b):
 ORACLE_MUL = [[_poly_mul(a, b) for b in range(4)] for a in range(4)]
 
 
+ORACLE_INV = [None] + [
+    next(b for b in range(1, 4) if ORACLE_MUL[a][b] == 1) for a in range(1, 4)
+]
+
+
+def oracle_rref(m):
+    """Reduced row-echelon form by plain Gauss-Jordan elimination on one
+    symbol per byte: pivot search left to right, top to bottom."""
+    mul = np.array(ORACLE_MUL, dtype=np.uint8)
+    r = np.array(m, dtype=np.uint8, copy=True)
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pivot = next((i for i in range(row, nrows) if r[i, col]), None)
+        if pivot is None:
+            continue
+        r[[row, pivot]] = r[[pivot, row]]
+        r[row] = mul[ORACLE_INV[r[row, col]], r[row]]
+        for i in range(nrows):
+            if i != row and r[i, col]:
+                r[i] ^= mul[r[i, col], r[row]]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
 def oracle_codewords(gen):
     """All codewords by direct message-by-message evaluation (pure python)."""
     k, n = gen.shape

@@ -35,6 +35,25 @@ def test_griesmer_oracle_by_direct_sum():
         assert sum(ceil((d + 1) / 4**i) for i in range(k)) > n
 
 
+def test_griesmer_holds_matches_direct_sum():
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            for d in range(n + 2):
+                direct = sum(-(-d // 4**i) for i in range(k))
+                assert griesmer_holds(n, k, d) == (n >= direct), (n, k, d)
+
+
+def test_griesmer_max_d_matches_linear_scan():
+    # the one-step-at-a-time scan, resumed from the answer at n - 1: the
+    # answer is nondecreasing in n because griesmer_holds is
+    for k in range(1, 301):
+        d = 0
+        for n in range(k, 301):
+            while griesmer_holds(n, k, d + 1):
+                d += 1
+            assert griesmer_max_d(n, k) == d, (n, k)
+
+
 def test_sphere_packing_examples():
     assert sphere_packing_max_d(6, 4) == 2
     assert sphere_packing_max_d(22, 19) == 2

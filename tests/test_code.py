@@ -88,6 +88,31 @@ def test_weight_distribution_random_against_oracle(rng):
         assert sorted(got) == oracle_weights(c.generator)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
+def test_weights_across_word_boundaries(rng, n):
+    # packed weights against the pure-python oracle, one to three words
+    for k in range(1, min(n, 5) + 1):
+        c = random_code(rng, n, k)
+        counts = c.weight_distribution().counts
+        got = [w for w, ct in enumerate(counts) for _ in range(ct)]
+        assert got == oracle_weights(c.generator)
+    assert repetition(n).weight_distribution().counts == (1,) + (0,) * (n - 1) + (3,)
+
+
+@pytest.mark.parametrize("n, k", [(13, 10), (12, 11)])
+def test_weights_beyond_block_against_codewords(rng, n, k):
+    # k > _BLOCK_K, so the weights come from several prefixes of the block
+    c = random_code(rng, n, k)
+    assert c.k == k
+    expected = np.bincount(np.count_nonzero(c.codewords(), axis=1), minlength=n + 1)
+    assert c.weight_distribution().counts == tuple(expected)
+    # the same code with its columns spread over three 64-bit words
+    wide = np.zeros((k, 150), dtype=np.uint8)
+    wide[:, rng.choice(150, size=n, replace=False)] = c.generator
+    spread = LinearCode.from_generator(wide).weight_distribution().counts
+    assert spread == tuple(expected) + (0,) * (150 - n)
+
+
 def test_hermitian_dual_dimensions():
     c = simplex(2)
     dual = c.hermitian_dual()

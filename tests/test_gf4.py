@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_rref
 from hullforge import gf4
 
 elements = st.integers(min_value=0, max_value=3)
@@ -141,3 +142,35 @@ def test_gram_rank_independent_of_generator(rng):
                 break
         g2 = gf4.matmul(t, g)
         assert gf4.rank(gf4.hermitian_gram(g)) == gf4.rank(gf4.hermitian_gram(g2))
+
+
+def _rref_cases(rng):
+    """Matrices for the packed elimination: degenerate shapes, zero
+    matrices, dependent and sparse rows, and widths around word sizes."""
+    for shape in ((0, 0), (0, 5), (3, 0), (1, 1), (4, 1), (1, 9)):
+        yield np.zeros(shape, dtype=np.uint8)
+    for cols in (1, 7, 8, 9, 63, 64, 65, 129):
+        for rows in (1, 3, 8):
+            yield np.zeros((rows, cols), dtype=np.uint8)
+            yield rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
+    for _ in range(400):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 80))
+        m = rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
+        m[rng.random(m.shape) < rng.random()] = 0
+        if rows > 1 and rng.random() < 0.3:
+            # a scalar multiple of another row
+            m[-1] = gf4.MUL[int(rng.integers(1, 4)), m[0]]
+        yield m
+
+
+def test_rref_and_rank_match_oracle(rng):
+    for m in _rref_cases(rng):
+        before = m.copy()
+        m.setflags(write=False)
+        r, pivots = gf4.rref(m)
+        expected, expected_pivots = oracle_rref(m)
+        assert pivots == expected_pivots
+        assert r.dtype == np.uint8 and r.shape == m.shape
+        assert np.array_equal(r, expected)
+        assert gf4.rank(m) == len(pivots)
+        assert np.array_equal(m, before)
