@@ -83,12 +83,8 @@ def analysis_record(code: LinearCode, cap=DEFAULT_ENUM_CAP, with_eaqecc=False):
         wd = code.weight_distribution(cap)
         record["d"] = wd.min_nonzero_weight()
         record["weights"] = list(wd.counts)
-    except BudgetExceededError:
-        pass
-    dual = code.hermitian_dual()
-    try:
-        # a full-space code has the zero code as dual: no distance to report
-        record["dual_d"] = dual.min_distance(cap) if dual.k else None
+        # None for a full-space code, whose dual is the zero code
+        record["dual_d"] = code.dual_weight_distribution(cap).min_nonzero_weight()
     except BudgetExceededError:
         pass
     if with_eaqecc and rep.hull_dim == 1:

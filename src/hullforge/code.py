@@ -1,10 +1,14 @@
 """The [n,k,d] quaternary linear code abstraction.
 
-Distance and weight data come from exhaustive codeword enumeration, capped by
-dimension (DEFAULT_ENUM_CAP).  Generators are uint8 arrays holding one symbol
-per byte, kept in RREF so equality checks and serialization are
-deterministic; column order is never changed.  The enumeration packs the rows
-into two uint64 bit planes and takes each weight as popcount(p0 | p1).
+Weight data come from one exhaustive codeword enumeration per code, on the
+side whose dimension is within the cap (DEFAULT_ENUM_CAP): the code itself
+when k <= cap, else its Hermitian dual when n - k <= cap.  The other side
+follows from the exact MacWilliams transform (`macwilliams`); the Hermitian
+dual is the conjugate of the Euclidean dual, so both duals have the same
+weights.  Generators are uint8 arrays holding one symbol per byte, kept in
+RREF so equality checks and serialization are deterministic; column order is
+never changed.  The enumeration packs the rows into two uint64 bit planes
+and takes each weight as popcount(p0 | p1).
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ from . import gf4
 from .exceptions import (
     AllCoordinatesError,
     BudgetExceededError,
+    InvalidWeightsError,
     ZeroMatrixError,
 )
 
@@ -65,6 +70,7 @@ class LinearCode:
         self.generator.setflags(write=False)
         self.k, self.n = self.generator.shape
         self._weights = None
+        self._dual_weights = None
 
     @classmethod
     def from_generator(cls, g):
@@ -83,20 +89,37 @@ class LinearCode:
     # -- weight data -------------------------------------------------------
 
     def weight_distribution(self, cap=DEFAULT_ENUM_CAP):
+        """A_0..A_n, enumerated when k <= cap, else transformed from the
+        enumerated Hermitian dual; BudgetExceededError when both k and
+        n - k exceed the cap."""
         if self._weights is None:
-            self._weights = WeightDistribution(self._count_weights(cap))
+            if self.k <= cap:
+                self._weights = WeightDistribution(self._count_weights())
+            elif self.n - self.k <= cap:
+                self._dual_weights = self.hermitian_dual().weight_distribution(cap)
+                self._weights = macwilliams(self._dual_weights.counts,
+                                            self.n - self.k)
+            else:
+                raise BudgetExceededError(
+                    f"k={self.k} and n-k={self.n - self.k} both exceed the "
+                    f"enumeration cap {cap}"
+                )
         return self._weights
+
+    def dual_weight_distribution(self, cap=DEFAULT_ENUM_CAP):
+        """B_0..B_n of the Hermitian dual, from the same single enumeration
+        as weight_distribution(cap); B = (1, 0, ..., 0) when k = n."""
+        if self._dual_weights is None:
+            self._dual_weights = macwilliams(self.weight_distribution(cap).counts,
+                                             self.k)
+        return self._dual_weights
 
     def min_distance(self, cap=DEFAULT_ENUM_CAP):
         if self.k == 0:
             raise ZeroMatrixError("the zero code has no minimum distance")
         return self.weight_distribution(cap).min_nonzero_weight()
 
-    def _count_weights(self, cap):
-        if self.k > cap:
-            raise BudgetExceededError(
-                f"k={self.k} exceeds the enumeration cap {cap}"
-            )
+    def _count_weights(self):
         counts = np.zeros(self.n + 1, dtype=np.int64)
         if self.k == 0:
             counts[0] = 1
@@ -184,6 +207,40 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k})"
+
+
+def macwilliams(counts, k):
+    """The weight distribution B_0..B_n of the dual of an [n, k] code whose
+    weight counts are A_0..A_n:
+
+        sum_j B_j z^j = 4^-k sum_i A_i (1 - z)^i (1 + 3z)^(n - i),
+
+    in exact integers.  Raises InvalidWeightsError when the result is no
+    weight distribution: a fraction, a negative count or B_0 != 1."""
+    counts = [int(c) for c in counts]
+    n = len(counts) - 1
+    # homogeneous Horner on x = 1 - z, y = 1 + 3z:
+    # acc = sum_{i >= m} A_i x^(i - m) y^(n - i), ypow = y^(n - m)
+    acc = [counts[n]] + [0] * n
+    ypow = [1] + [0] * n
+    for m in range(n - 1, -1, -1):
+        acc = [a - b for a, b in zip(acc, [0] + acc[:-1])]
+        ypow = [a + 3 * b for a, b in zip(ypow, [0] + ypow[:-1])]
+        if counts[m]:
+            acc = [a + counts[m] * y for a, y in zip(acc, ypow)]
+    size = 4 ** k
+    dual = []
+    for j, c in enumerate(acc):
+        b, rest = divmod(c, size)
+        if rest:
+            raise InvalidWeightsError(
+                f"MacWilliams coefficient {j} is not divisible by 4^{k}")
+        if b < 0:
+            raise InvalidWeightsError(f"MacWilliams coefficient {j} is negative")
+        dual.append(b)
+    if dual[0] != 1:
+        raise InvalidWeightsError(f"MacWilliams transform has B_0 = {dual[0]}")
+    return WeightDistribution(dual)
 
 
 def _span(rows, n):

@@ -17,7 +17,7 @@ from .hull import hull_dim
 class EaqeccParams:
     n: int
     k: int
-    d: int | None  # None when the distance side exceeded the enumeration cap
+    d: int | None  # None: unknown, when min(k, n-k) exceeds the enumeration cap
     c: int
 
     def __str__(self):
@@ -36,14 +36,14 @@ def pair_params(n, k, d, dual_d):
 def derive_pair(c: LinearCode):
     """The two EAQECCs of a hull-1 code.
 
-    Raises BudgetExceededError when either distance side is beyond the
-    enumeration cap.
+    Both distances come from one codeword enumeration; raises
+    BudgetExceededError only when min(k, n - k) exceeds the enumeration cap.
     """
     dim = hull_dim(c)
     if dim != 1:
         raise WrongHullDimensionError(f"hull dimension is {dim}, need exactly 1")
     return pair_params(c.n, c.k, c.min_distance(),
-                       c.hermitian_dual().min_distance())
+                       c.dual_weight_distribution().min_nonzero_weight())
 
 
 def corollary_family(s, t):

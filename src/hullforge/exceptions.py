@@ -13,6 +13,10 @@ class BudgetExceededError(HullforgeError):
     """Codeword enumeration would exceed the configured dimension cap."""
 
 
+class InvalidWeightsError(HullforgeError):
+    """Counts whose MacWilliams transform is no weight distribution."""
+
+
 class AllCoordinatesError(HullforgeError):
     """Puncturing/shortening on every coordinate leaves no code."""
 

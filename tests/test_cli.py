@@ -1,12 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from hullforge import matfmt
 from hullforge.cli import main
 from hullforge.code import LinearCode
-from hullforge.construct import fixture
+from hullforge.construct import fixture, simplex_matrix
 
 
 @pytest.fixture
@@ -51,22 +52,22 @@ def test_analyze_json(fixture_file, capsys):
     assert sum(record["weights"]) == 4**4
 
 
-def test_analyze_eaqecc_enumerates_code_and_dual_once(fixture_file, capsys,
-                                                     monkeypatch):
+def test_analyze_eaqecc_enumerates_once(fixture_file, capsys, monkeypatch):
     calls = []
     count_weights = LinearCode._count_weights
 
-    def counting(self, cap):
+    def counting(self):
         calls.append((self.n, self.k))
-        return count_weights(self, cap)
+        return count_weights(self)
 
     monkeypatch.setattr(LinearCode, "_count_weights", counting)
     status, captured = run(capsys, "analyze", str(fixture_file), "--eaqecc",
                            "--format", "json")
     assert status == 0
     assert json.loads(captured.out)["eaqecc"] == [[9, 3, 5, 4], [9, 4, 4, 3]]
-    # one enumeration of the code, one of its Hermitian dual
-    assert sorted(calls) == [(9, 4), (9, 5)]
+    # one enumeration of the code; the dual's weights are its MacWilliams
+    # transform
+    assert calls == [(9, 4)]
 
 
 def test_analyze_csv(fixture_file, capsys):
@@ -84,8 +85,27 @@ def test_analyze_long_fixture_eaqecc(tmp_path, capsys):
     assert status == 0
     assert "[23,3,16] code" in captured.out
     assert "[[23,2,16;19]]" in captured.out
-    # the dual side exceeds the enumeration cap; distance shown as unknown
-    assert "[[23,19,?;2]]" in captured.out
+    # the dual (k = 20) is beyond the enumeration cap; its distance comes
+    # from the MacWilliams transform of the code's weights
+    assert "[[23,19,2;2]]" in captured.out
+
+
+@pytest.mark.parametrize("generator, first_line", [
+    # Hamming [21,18]: k > cap, so the simplex dual is enumerated instead
+    (LinearCode.from_generator(simplex_matrix(3)).hermitian_dual().generator,
+     "[21,18,3] code, dual distance 16, hull dimension 3 (proper)"),
+    (simplex_matrix(4),
+     "[85,4,64] code, dual distance 3, hull dimension 4 (self-orthogonal)"),
+    (np.eye(3, dtype=np.uint8),
+     "[3,3,1] code, dual distance None, hull dimension 0 (LCD)"),
+])
+def test_analyze_distances_from_either_side(tmp_path, capsys, generator,
+                                            first_line):
+    path = tmp_path / "G.g4m"
+    matfmt.save(path, generator)
+    status, captured = run(capsys, "analyze", str(path))
+    assert status == 0
+    assert captured.out.splitlines()[0] == first_line
 
 
 def test_analyze_digits_alphabet(tmp_path, capsys):

@@ -1,14 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import oracle_min_distance, oracle_weights, random_code
-from hullforge import gf4
+import hullforge
+from conftest import ORACLE_MUL, oracle_min_distance, oracle_weights, random_code
+from hullforge import gf4, witnesses
 from hullforge.bounds import griesmer_holds
-from hullforge.code import LinearCode
-from hullforge.construct import fixture, simplex
+from hullforge.code import LinearCode, macwilliams
+from hullforge.construct import fixture, fixture_names, simplex
 from hullforge.exceptions import (
     AllCoordinatesError,
     BudgetExceededError,
+    InvalidWeightsError,
     ZeroMatrixError,
 )
 
@@ -54,9 +61,12 @@ def test_min_distance_repetition():
 
 
 def test_min_distance_budget():
-    g = np.eye(15, dtype=np.uint8)
+    # k = 15 and n - k = 15: neither side can be enumerated
+    g = np.hstack([np.eye(15, dtype=np.uint8)] * 2)
     with pytest.raises(BudgetExceededError):
         LinearCode.from_generator(g).min_distance()
+    # k = 15 is beyond the cap, but the zero dual is not
+    assert LinearCode.from_generator(np.eye(15, dtype=np.uint8)).min_distance() == 1
 
 
 def test_weight_distribution_simplex():
@@ -227,3 +237,84 @@ def test_weight_distribution_consistency(rng):
         wd = c.weight_distribution()
         assert wd.total() == 4**c.k
         assert wd.min_nonzero_weight() == c.min_distance()
+
+
+def _dual_weights_by_syndrome(gen, max_w):
+    """B_0..B_max_w of the Hermitian dual by dynamic programming over the
+    coordinates: count the vectors y of each weight by their syndrome
+    G conj(y)^T (2 bits per row, added by XOR); dual words have syndrome 0."""
+    k, _ = gen.shape
+    index = np.arange(4**k)
+    counts = np.zeros((max_w + 1, 4**k), dtype=np.int64)
+    counts[0, 0] = 1
+    for column in gen.T:
+        step = counts.copy()
+        for c in (1, 2, 3):
+            conj_c = ORACLE_MUL[c][c]  # conj(c) = c^2 in GF(4)
+            shift = sum(ORACLE_MUL[conj_c][int(x)] << (2 * i)
+                        for i, x in enumerate(column))
+            step[1:] += counts[:-1, index ^ shift]
+        counts = step
+    return tuple(int(b) for b in counts[:, 0])
+
+
+def test_macwilliams_matches_enumerated_dual():
+    codes = [fixture(name).code() for name in fixture_names()]
+    codes += [witnesses.witness(n, k) for n, k in witnesses.available()]
+    assert len(codes) == 22 + 66
+    for c in codes:
+        dual = c.hermitian_dual()
+        got = c.dual_weight_distribution().counts
+        if dual.k > 12:
+            # too many dual words to list ([24,21] for G_[24,3,17])
+            assert got == _dual_weights_by_syndrome(c.generator, c.n), (c.n, c.k)
+            continue
+        enumerated = tuple(dual._count_weights())
+        assert got == enumerated, (c.n, c.k)
+        if c.n - dual.k < dual.k:
+            # k > cap >= n - k: enumerate the dual of the dual, which is c,
+            # and transform back
+            fresh = LinearCode(dual.generator)
+            assert fresh.weight_distribution(cap=dual.k - 1).counts == enumerated
+    # the simplex [85,4,64] and its Hamming dual [85,81,3]
+    hamming = simplex(4).dual_weight_distribution()
+    assert hamming.counts[:4] == _dual_weights_by_syndrome(simplex(4).generator, 3)
+    assert hamming.min_nonzero_weight() == 3
+    # a full-space code: the dual is the zero code
+    full = LinearCode.from_generator(np.eye(3, dtype=np.uint8))
+    assert full.dual_weight_distribution().counts == (1, 0, 0, 0)
+
+
+# counts that are the weights of no code, one per check: 2 words for k = 1
+# (B_0 = 1/2); 16 words for k = 2 whose transform has B_0 = 1 but the
+# fractions B_1 = 1/4, B_2 = 1/2, B_3 = 9/4; (1 - z) for n = 1, k = 1 (a
+# negative count); 8 zero words (B_0 = 2)
+_NOT_WEIGHTS = [([1, 1, 0, 0, 0], 1), ([1, 1, 8, 6], 2), ([0, 4], 1), ([8, 0], 1)]
+
+
+@pytest.mark.parametrize("counts, k", _NOT_WEIGHTS)
+def test_macwilliams_rejects_non_distributions(counts, k):
+    with pytest.raises(InvalidWeightsError):
+        macwilliams(counts, k)
+
+
+def test_macwilliams_guard_survives_optimisation():
+    # `python -O` drops assert statements; the checks must still raise
+    script = (
+        "import sys\n"
+        "from hullforge.code import macwilliams\n"
+        "from hullforge.exceptions import InvalidWeightsError\n"
+        f"for counts, k in {_NOT_WEIGHTS!r}:\n"
+        "    try:\n"
+        "        macwilliams(counts, k)\n"
+        "    except InvalidWeightsError:\n"
+        "        continue\n"
+        "    sys.exit(f'accepted {counts}')\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = str(Path(hullforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
