@@ -145,6 +145,9 @@ def cmd_search(args, out):
     if n < 2 or not 1 <= k < n:
         print("error: need n >= 2 and 1 <= k < n", file=sys.stderr)
         return EXIT_USAGE
+    if args.budget < 1:
+        print("error: need --budget >= 1", file=sys.stderr)
+        return EXIT_USAGE
     if k <= 3:
         if args.target_d is not None:
             result = search.certify_nonexistence(n, k, args.target_d) \

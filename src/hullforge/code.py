@@ -7,8 +7,10 @@ follows from the exact MacWilliams transform (`macwilliams`); the Hermitian
 dual is the conjugate of the Euclidean dual, so both duals have the same
 weights.  Generators are uint8 arrays holding one symbol per byte, kept in
 RREF so equality checks and serialization are deterministic; column order is
-never changed.  The enumeration packs the rows into two uint64 bit planes
-and takes each weight as popcount(p0 | p1).
+never changed.  The enumeration takes the rows as two bit planes of Python
+ints (`gf4._row_planes`), spreads their multiples over uint64 words and
+takes each weight as popcount(p0 | p1); the randomized search feeds its
+packed candidates to the same routine (`_plane_weights`).
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ DEFAULT_ENUM_CAP = 14
 # rows expanded into one packed block of 4^_BLOCK_K words during enumeration;
 # the rest are looped over as prefixes (4^(k - _BLOCK_K) iterations)
 _BLOCK_K = 9
+
+_WORD = (1 << 64) - 1
 
 
 class WeightDistribution:
@@ -120,25 +124,11 @@ class LinearCode:
         return self.weight_distribution(cap).min_nonzero_weight()
 
     def _count_weights(self):
-        counts = np.zeros(self.n + 1, dtype=np.int64)
         if self.k == 0:
+            counts = np.zeros(self.n + 1, dtype=np.int64)
             counts[0] = 1
             return counts
-        multiples = _plane_multiples(self.generator)
-        split = self.k - min(self.k, _BLOCK_K)
-        block = _plane_span(multiples[split:])
-        prefixes = _plane_span(multiples[:split])
-        mixed = np.empty_like(block)
-        union = np.empty_like(block[0])
-        weights = np.empty(block.shape[2], dtype=np.intp)
-        for i in range(prefixes.shape[2]):
-            np.bitwise_xor(block, prefixes[:, :, i: i + 1], out=mixed)
-            np.bitwise_or(mixed[0], mixed[1], out=union)
-            np.bitwise_count(union[0], out=weights)
-            for word in union[1:]:
-                weights += np.bitwise_count(word)
-            counts += np.bincount(weights, minlength=self.n + 1)
-        return counts
+        return _plane_weights(*gf4._row_planes(self.generator), self.n)
 
     def codewords(self):
         """All 4^k codewords as a (4^k, n) array (k <= DEFAULT_ENUM_CAP)."""
@@ -253,21 +243,42 @@ def _span(rows, n):
     return words
 
 
-def _plane_multiples(rows):
-    """The multiples 0, 1, w, W of each of the r given rows, packed as bit
-    planes: a (r, 2, W, 4) uint64 array, W = ceil(n / 64), with column j at
-    bit j mod 64 of word j // 64."""
-    r, n = rows.shape
-    bits = np.zeros((2, r, 64 * (-(-n // 64))), dtype=np.uint8)
-    bits[0, :, :n] = rows & 1
-    bits[1, :, :n] = rows >> 1
-    a0, a1 = np.packbits(bits, axis=2, bitorder="little").view("<u8")
-    a2 = a0 ^ a1
-    zero = np.zeros_like(a0)
-    # c * (a0, a1) = (a0, a1), (a1, a0 ^ a1), (a0 ^ a1, a0) for c = 1, w, W
-    lo = np.stack([zero, a0, a1, a2], axis=-1)
-    hi = np.stack([zero, a1, a2, a0], axis=-1)
-    return np.stack([lo, hi], axis=1)
+def _plane_weights(lo, hi, n):
+    """Weight counts A_0..A_n of the span of r >= 1 rows given as row planes
+    (lo, hi), with column j at bit j as in `gf4._row_planes`."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    multiples = _plane_multiples(lo, hi, n)
+    split = len(lo) - min(len(lo), _BLOCK_K)
+    block = _plane_span(multiples[split:])
+    prefixes = _plane_span(multiples[:split])
+    mixed = np.empty_like(block)
+    union = np.empty_like(block[0])
+    weights = np.empty(block.shape[2], dtype=np.intp)
+    for i in range(prefixes.shape[2]):
+        np.bitwise_xor(block, prefixes[:, :, i: i + 1], out=mixed)
+        np.bitwise_or(mixed[0], mixed[1], out=union)
+        np.bitwise_count(union[0], out=weights)
+        for word in union[1:]:
+            weights += np.bitwise_count(word)
+        counts += np.bincount(weights, minlength=n + 1)
+    return counts
+
+
+def _plane_multiples(lo, hi, n):
+    """The multiples 0, 1, w, W of each row given as row planes (lo, hi): a
+    (r, 2, W, 4) uint64 array, W = ceil(n / 64), with column j at bit j mod
+    64 of word j // 64."""
+    shifts = range(0, n, 64)
+    flat = []
+    for a0, a1 in zip(lo, hi):
+        a2 = a0 ^ a1
+        # c * (a0, a1) = (a0, a1), (a1, a0 ^ a1), (a0 ^ a1, a0) for c = 1, w, W
+        for s in shifts:
+            flat += (0, a0 >> s & _WORD, a1 >> s & _WORD, a2 >> s & _WORD)
+        for s in shifts:
+            flat += (0, a1 >> s & _WORD, a2 >> s & _WORD, a0 >> s & _WORD)
+    multiples = np.fromiter(flat, dtype=np.uint64, count=len(flat))
+    return multiples.reshape(len(lo), 2, len(shifts), 4)
 
 
 def _plane_span(multiples):

@@ -5,8 +5,14 @@ with 1 -> 0b01 and w -> 0b10.  In this basis field addition is bitwise XOR;
 multiplication goes through a 16-entry table.  Matrices are plain numpy uint8
 arrays holding one symbol per byte, values in 0..3, treated as immutable by
 convention (helpers never mutate their inputs).  Internally, `rref` and
-`rank` pack each row into two GF(2) bit planes held as Python ints, and
-`matmul` splits its operands into bit planes for the duration of one call.
+`rank` pack each row into two GF(2) bit planes held as Python ints
+(`_row_planes`), and `matmul` splits its operands into bit planes for the
+duration of one call.
+
+`_eliminate` is the one elimination routine.  It works on those int row
+lists alone, so callers that already hold packed rows (the Gram matrices of
+the searches, from `_hermitian_gram_planes` or the DFS tables) rank them
+with no numpy call.
 """
 
 import numpy as np
@@ -76,23 +82,42 @@ def conj_transpose(m):
 _PLANE_MASKS = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
 
 
-def _eliminate(m):
-    """Gauss-Jordan elimination of a uint8 matrix on packed rows.
-
-    Row i is held as two Python ints (lo[i], hi[i]), the 1-bit and the w-bit
-    planes of its symbols, with column j at bit j.  Pivot search scans left
-    to right, top to bottom.  Returns (lo, hi, pivots); the rows past
-    len(pivots) end up zero.
-    """
+def _row_planes(m):
+    """The rows of a uint8 matrix as two lists of Python ints (lo, hi): the
+    1-bit and the w-bit planes of each row's symbols, column j at bit j."""
     nrows, ncols = m.shape
     if nrows == 0 or ncols == 0:
-        return [0] * nrows, [0] * nrows, []
+        return [0] * nrows, [0] * nrows
     raw = np.packbits(m & _PLANE_MASKS, axis=2, bitorder="little").tobytes()
     step = (ncols + 7) // 8
     planes = [
         int.from_bytes(raw[i: i + step], "little") for i in range(0, len(raw), step)
     ]
-    lo, hi = planes[:nrows], planes[nrows:]
+    return planes[:nrows], planes[nrows:]
+
+
+def _planes_matrix(lo, hi, ncols):
+    """The uint8 matrix whose rows have the planes (lo, hi): the inverse of
+    `_row_planes`."""
+    step = (ncols + 7) // 8
+    raw = b"".join(x.to_bytes(step, "little") for x in [*lo, *hi])
+    planes = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(2, len(lo), step),
+        axis=2, count=ncols, bitorder="little",
+    )
+    return planes[0] | (planes[1] << 1)
+
+
+def _eliminate(lo, hi):
+    """Gauss-Jordan elimination on packed rows, in place.
+
+    Row i is held as two Python ints (lo[i], hi[i]) as built by
+    `_row_planes`.  Pivot search scans left to right, top to bottom.  Returns
+    the pivot columns; the rows past len(pivots) end up zero.  This is the
+    one elimination routine: `rref`, `rank` and the packed Gram ranks of
+    the searches all run on it.
+    """
+    nrows = len(lo)
     pivots = []
     row = 0
     while row < nrows:
@@ -132,7 +157,7 @@ def _eliminate(m):
                 hi[i] ^= a
         pivots.append(bit.bit_length() - 1)
         row += 1
-    return lo, hi, pivots
+    return pivots
 
 
 def rref(m):
@@ -142,19 +167,13 @@ def rref(m):
     so the output is deterministic.
     """
     m = np.asarray(m, dtype=np.uint8)
-    nrows, ncols = m.shape
-    lo, hi, pivots = _eliminate(m)
-    step = (ncols + 7) // 8
-    raw = b"".join(x.to_bytes(step, "little") for x in lo + hi)
-    planes = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(2, nrows, step),
-        axis=2, count=ncols, bitorder="little",
-    )
-    return planes[0] | (planes[1] << 1), pivots
+    lo, hi = _row_planes(m)
+    pivots = _eliminate(lo, hi)
+    return _planes_matrix(lo, hi, m.shape[1]), pivots
 
 
 def rank(m):
-    return len(_eliminate(np.asarray(m, dtype=np.uint8))[2])
+    return len(_eliminate(*_row_planes(np.asarray(m, dtype=np.uint8))))
 
 
 def kernel(m):
@@ -181,3 +200,29 @@ def hermitian_gram(g):
     """G * conj(G)^T; the result equals its own conjugate transpose."""
     return matmul(g, conj_transpose(g))
 
+
+def _hermitian_gram_planes(lo, hi):
+    """G * conj(G)^T for a G given as row planes (lo, hi), returned as the
+    row planes of the square Gram matrix.
+
+    With x = x0 + x1 w and conj(y) = (y0 + y1) + y1 w, entry (i, j) =
+    sum_t x_t conj(y_t) has the 1-bit popcount((x0 & (y0 ^ y1)) ^ (x1 & y1))
+    and the w-bit popcount((x0 & y1) ^ (x1 & y0)), both mod 2, for x row i
+    and y row j; entry (j, i) is its conjugate (c0 ^ c1, c1).
+    """
+    k = len(lo)
+    glo = [0] * k
+    ghi = [0] * k
+    for i in range(k):
+        x0, x1 = lo[i], hi[i]
+        # the diagonal sums norms, which are 1 on every nonzero symbol
+        glo[i] |= ((x0 | x1).bit_count() & 1) << i
+        for j in range(i + 1, k):
+            y0, y1 = lo[j], hi[j]
+            c0 = ((x0 & (y0 ^ y1)) ^ (x1 & y1)).bit_count() & 1
+            c1 = ((x0 & y1) ^ (x1 & y0)).bit_count() & 1
+            glo[i] |= c0 << j
+            ghi[i] |= c1 << j
+            glo[j] |= (c0 ^ c1) << i
+            ghi[j] |= c1 << i
+    return glo, ghi

@@ -9,8 +9,13 @@ covered by the result at length n - 1; the lengths k..n are solved bottom-up.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: a
 serial run over fixed-size chunks, each with its own RNG stream, so a seed
-and a budget fix every emitted value.  It never claims exhaustiveness, and
-every accepted witness is re-verified by full enumeration.
+and a budget fix every emitted value.  It never claims exhaustiveness.
+Candidates are evaluated on packed row planes, two Python ints per row as
+in `gf4._eliminate`: the hull test is the rank of a Gram matrix built by
+popcount parity, and weights come from the shared `code._plane_weights`,
+with no numpy matrix per rejected candidate.  The accepted witness is then
+re-verified on the independent numpy path (`hull.hull_dim` over
+`gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
 
 Both engines re-check their witness with explicit raises, so the checks
 survive `python -O`.
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import gf4
 from .bounds import griesmer_max_d, sphere_packing_max_d
-from .code import DEFAULT_ENUM_CAP, LinearCode
+from .code import DEFAULT_ENUM_CAP, LinearCode, _plane_weights
 from .construct import (
     MultiplicityVector,
     code_from_multiplicity,
@@ -75,8 +80,8 @@ class _ProjectiveGeometry:
 
     The DFS works on Python integers derived from these tables: a weight
     vector is packed into one int of `bits`-bit lanes (`pack`), and a Gram
-    matrix into one int of 2-bit entries (`gram_bits`, unpacked again only
-    by `gram_rank`).
+    matrix into one int of 2-bit entries (`gram_bits`, turned into the int
+    rows of `gf4._eliminate` only by `gram_rank`).
     """
 
     def __init__(self, k):
@@ -103,8 +108,13 @@ class _ProjectiveGeometry:
 
     def gram_rank(self, packed):
         k = self.k
-        flat = [(packed >> (2 * j)) & 3 for j in range(k * k)]
-        return gf4.rank(np.array(flat, dtype=np.uint8).reshape(k, k))
+        lo, hi = [0] * k, [0] * k
+        for i in range(k):
+            for j in range(k):
+                entry = packed >> (2 * (i * k + j))
+                lo[i] |= (entry & 1) << j
+                hi[i] |= (entry >> 1 & 1) << j
+        return len(gf4._eliminate(lo, hi))
 
 
 _GEOMETRY = {}
@@ -313,48 +323,90 @@ def certify_nonexistence(n, k, d):
 # -- randomized search -----------------------------------------------------
 
 
-def _standard_form(k, n, a):
-    """[I_k | a]: full rank and already in RREF."""
-    g = np.zeros((k, n), dtype=np.uint8)
-    g[:, :k] = np.eye(k, dtype=np.uint8)
-    g[:, k:] = a
-    return g
+# bytes of 0/1 at bits 8t, t = 0..7, times _GATHER puts bit t of the result
+# at bit 56 + t; every partial product lands on its own bit, so nothing carries
+_GATHER = 0x0102040810204080
+_LOW_BITS = 0x0101010101010101
+
+
+def _systematic_planes(a):
+    """Row planes of [I | a] for a uint8 array a, as `gf4._row_planes`
+    builds them but with no numpy call: at candidate size its packbits
+    costs as much as the hull test."""
+    k, m = a.shape
+    raw = a.tobytes()
+    # the planes of all of a, row after row, from 8 symbols at a time
+    lo = hi = 0
+    for s in range(0, len(raw), 8):
+        w = int.from_bytes(raw[s: s + 8], "little")
+        lo |= (((w & _LOW_BITS) * _GATHER >> 56) & 255) << s
+        hi |= ((((w >> 1) & _LOW_BITS) * _GATHER >> 56) & 255) << s
+    mask = (1 << m) - 1
+    return (
+        [1 << i | (lo >> (i * m) & mask) << k for i in range(k)],
+        [(hi >> (i * m) & mask) << k for i in range(k)],
+    )
+
+
+def _planes_hull_dim(lo, hi):
+    return len(lo) - len(gf4._eliminate(*gf4._hermitian_gram_planes(lo, hi)))
 
 
 def _search_chunk(n, k, seed, chunk_index, size):
     """Deterministic per-chunk stream: fresh samples, single-entry mutations
-    of the chunk best, and hull-2 shorten moves from length n + 1."""
+    of the last [I | A] drawn, and hull-2 shorten moves from length n + 1.
+
+    Candidates are row planes (lo, hi).  Only the lift moves whose hull test
+    passes, and the candidates whose distance reaches the chunk best (for
+    the generator bytes of the tie-break), make numpy calls besides the
+    weights.  Returns ((d, key), code) for the best hull-1 candidate, or
+    None.
+    """
     rng = np.random.default_rng([seed, chunk_index])
-    best = None  # (d, gen_bytes, code)
-    current = None
+    best_d, best = 0, None  # best: ((d, key), generator)
+    current = None  # row planes of the last [I | A]; set at j = 0
     for j in range(size):
         mode = j % 3
-        code = None
-        if mode == 1 and current is not None:
-            a = current.copy()
-            a[rng.integers(k), rng.integers(n - k)] = rng.integers(4)
-            code = LinearCode(_standard_form(k, n, a))
-            current = a
-        elif mode == 2 and k + 1 <= n:
+        planes = None
+        if mode == 1:
+            # set one entry of A: its value is drawn first, then its row
+            # and its column
+            value = int(rng.integers(4))
+            i = int(rng.integers(k))
+            bit = 1 << (k + int(rng.integers(n - k)))
+            lo, hi = current[0][:], current[1][:]
+            lo[i] = lo[i] | bit if value & 1 else lo[i] & ~bit
+            hi[i] = hi[i] | bit if value & 2 else hi[i] & ~bit
+            planes = current = lo, hi
+        elif mode == 2:
             b = rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8)
-            lifted = LinearCode(_standard_form(k + 1, n + 1, b))
-            if hull_dim(lifted) == 2:
+            if _planes_hull_dim(*_systematic_planes(b)) == 2:
+                lifted = LinearCode(np.hstack([np.eye(k + 1, dtype=np.uint8), b]))
                 pivots = hull_information_set(lifted)
                 if pivots:
                     shortened = lifted.shorten({pivots[0]})
                     if shortened.k == k and shortened.n == n:
-                        code = shortened
-        if code is None:
+                        planes = gf4._row_planes(shortened.generator)
+        if planes is None:
             a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
-            code = LinearCode(_standard_form(k, n, a))
-            current = a
-        if hull_dim(code) != 1:
+            planes = current = _systematic_planes(a)
+        if min((x0 | x1).bit_count() for x0, x1 in zip(*planes)) < best_d:
+            # a generator row is a codeword lighter than the chunk best
             continue
-        d = code.min_distance()
-        key = (d, code.generator.tobytes().translate(_NEG))
+        if _planes_hull_dim(*planes) != 1:
+            continue
+        counts = _plane_weights(*planes, n)
+        d = int(np.flatnonzero(counts[1:])[0]) + 1
+        if d < best_d:
+            continue
+        gen = gf4._planes_matrix(*planes, n)
+        key = (d, gen.tobytes().translate(_NEG))
         if best is None or key > best[0]:
-            best = (key, code)
-    return best
+            best_d, best = d, (key, gen)
+    if best is None:
+        return None
+    key, gen = best
+    return key, LinearCode(gen)
 
 
 def random_search(n, k, target_d, seed, budget):
@@ -367,6 +419,10 @@ def random_search(n, k, target_d, seed, budget):
     lexicographically least generator, so the same (seed, budget) always
     gives the same outcome.
     """
+    if budget < 1:
+        raise ValueError(f"need budget >= 1, got {budget}")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     if k > DEFAULT_ENUM_CAP:
         raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
     best = None
@@ -376,7 +432,9 @@ def random_search(n, k, target_d, seed, budget):
             best = res
     if best is None:
         return SearchOutcome(0, None, exhaustive=False, explored=budget)
-    (d, _), code = best
+    (d, _), found = best
+    # a fresh object: nothing the chunk computed or cached is reused
+    code = LinearCode(found.generator)
     dim = hull_dim(code)
     if dim != 1:
         raise AssertionError(f"randomized witness has hull dimension {dim}")

@@ -57,6 +57,23 @@ def oracle_rref(m):
     return r, pivots
 
 
+def oracle_row_planes(m):
+    """Rows as (lo, hi) lists of Python ints, column j at bit j, built one
+    entry at a time: the 1-bit and the w-bit of each symbol."""
+    lo = [sum((int(x) & 1) << j for j, x in enumerate(row)) for row in m]
+    hi = [sum((int(x) >> 1) << j for j, x in enumerate(row)) for row in m]
+    return lo, hi
+
+
+def planes_to_matrix(lo, hi, ncols):
+    """Inverse of oracle_row_planes."""
+    return np.array(
+        [[(a >> j & 1) | (b >> j & 1) << 1 for j in range(ncols)]
+         for a, b in zip(lo, hi)],
+        dtype=np.uint8,
+    ).reshape(len(lo), ncols)
+
+
 def oracle_codewords(gen):
     """All codewords by direct message-by-message evaluation (pure python)."""
     k, n = gen.shape

@@ -169,6 +169,16 @@ def test_search_rejects_other_hull_dims(capsys):
     assert main(["search", "8", "2", "--hull", "2"]) == 2
 
 
+@pytest.mark.parametrize("n, k, budget", [
+    ("9", "5", "-3"), ("9", "5", "0"), ("10", "3", "0"),
+])
+def test_search_rejects_budget_below_one(capsys, n, k, budget):
+    status, captured = run(capsys, "search", n, k, "--budget", budget)
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--budget >= 1" in captured.err
+
+
 def test_table_stdout(capsys):
     status, captured = run(capsys, "table", "--max-n", "6")
     assert status == 0

@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 import hullforge
-from conftest import ORACLE_MUL, oracle_min_distance, oracle_weights, random_code
+from conftest import (
+    ORACLE_MUL,
+    oracle_min_distance,
+    oracle_row_planes,
+    oracle_weights,
+    random_code,
+)
 from hullforge import gf4, witnesses
 from hullforge.bounds import griesmer_holds
-from hullforge.code import LinearCode, macwilliams
+from hullforge.code import LinearCode, _plane_weights, macwilliams
 from hullforge.construct import fixture, fixture_names, simplex
 from hullforge.exceptions import (
     AllCoordinatesError,
@@ -318,3 +324,14 @@ def test_macwilliams_guard_survives_optimisation():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 100, 128, 129, 140])
+def test_plane_weights_match_oracle(rng, n):
+    # rows packed one entry at a time; n > 64 spans several uint64 words
+    for k in range(1, 5):
+        g = rng.integers(0, 4, size=(k, n), dtype=np.uint8)
+        g[rng.random(g.shape) < rng.random()] = 0
+        counts = _plane_weights(*oracle_row_planes(g), n)
+        expected = np.bincount(oracle_weights(g), minlength=n + 1)
+        assert counts.tolist() == expected.tolist()

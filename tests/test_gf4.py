@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_rref
+from conftest import oracle_row_planes, oracle_rref, planes_to_matrix
 from hullforge import gf4
 
 elements = st.integers(min_value=0, max_value=3)
@@ -174,3 +174,28 @@ def test_rref_and_rank_match_oracle(rng):
         assert np.array_equal(r, expected)
         assert gf4.rank(m) == len(pivots)
         assert np.array_equal(m, before)
+
+
+def test_eliminate_core_on_int_rows_matches_oracle(rng):
+    # rows packed one entry at a time, not through the numpy front end
+    for m in _rref_cases(rng):
+        lo, hi = oracle_row_planes(m)
+        pivots = gf4._eliminate(lo, hi)
+        expected, expected_pivots = oracle_rref(m)
+        assert pivots == expected_pivots
+        # the rows are reduced in place
+        assert np.array_equal(planes_to_matrix(lo, hi, m.shape[1]), expected)
+
+
+def test_row_planes_front_end_matches_oracle(rng):
+    for m in _rref_cases(rng):
+        assert gf4._row_planes(m) == oracle_row_planes(m)
+
+
+def test_packed_gram_matches_numpy_gram(rng):
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 141))
+        m = rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
+        m[rng.random(m.shape) < rng.random()] = 0
+        glo, ghi = gf4._hermitian_gram_planes(*oracle_row_planes(m))
+        assert np.array_equal(planes_to_matrix(glo, ghi, rows), gf4.hermitian_gram(m))

@@ -1,11 +1,13 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hullforge import search
+from conftest import oracle_row_planes
+from hullforge import gf4, search
 from hullforge.bounds import dh_closed_form, table5_lookup
-from hullforge.code import LinearCode
+from hullforge.code import LinearCode, WeightDistribution
 from hullforge.construct import (
     MultiplicityVector,
     code_from_multiplicity,
@@ -177,6 +179,88 @@ def test_random_search_rejects_forged_chunk_distance(monkeypatch):
     monkeypatch.setattr(search, "_search_chunk", forged)
     with pytest.raises(AssertionError, match="chunk reported"):
         random_search(8, 4, 1, seed=0, budget=64)
+
+
+def test_random_search_recomputes_witness_distance(monkeypatch):
+    # the chunk overclaims d, and its code object carries weights that agree
+    # with the claim, so only a fresh enumeration can catch the forgery
+    real = search._search_chunk
+
+    def forged(*args):
+        (d, tie), code = real(*args)
+        counts = list(code.weight_distribution().counts)
+        counts[d + 1] += counts[d]
+        counts[d] = 0
+        code._weights = WeightDistribution(counts)
+        assert code.min_distance() == d + 1
+        return (d + 1, tie), code
+
+    monkeypatch.setattr(search, "_search_chunk", forged)
+    with pytest.raises(AssertionError, match="chunk reported"):
+        random_search(8, 4, 1, seed=0, budget=64)
+
+
+@pytest.mark.parametrize("n, k, budget, message", [
+    (4, 4, 10, "1 <= k < n"), (5, 0, 10, "1 <= k < n"), (3, 5, 10, "1 <= k < n"),
+    (9, 5, 0, "budget >= 1"), (9, 5, -3, "budget >= 1"),
+])
+def test_random_search_rejects_bad_inputs(n, k, budget, message):
+    with pytest.raises(ValueError, match=message):
+        random_search(n, k, 1, seed=0, budget=budget)
+
+
+# (n, k, target_d, seed, budget, best_d, SHA-256 of the witness generator's
+# bytes or None), as computed on the numpy candidate path that the packed
+# row planes replaced: both benchmark sizes, a partial third chunk, planes of
+# 2 and 3 words (n = 70, 130), n - k = 1, k = 1, and lifts to k + 1 = 8
+RANDOM_PINS = [
+    (9, 5, 4, 1722851097, 2048, 4,
+     "fb35a6cb5c447d9379ade6d396a69a7c9ad4a86992daa02d49e2c292ec9e5677"),
+    (12, 6, 6, 1640193507, 1024, 5, None),
+    (9, 4, 1, 3, 2500, 5,
+     "5951c0b00a48aab164729b03ba175197afa6d2d1fda8bc88d155af1d47d3fa10"),
+    (70, 4, 1, 1, 300, 46,
+     "c341e0b8ec477bdfbd963500137025913a78a3e155f8c9dac6734ace3a20801d"),
+    (130, 2, 1, 6, 100, 98,
+     "71b5273836284d238fff3ebf3a788615e8682a2e1b560677dc432561d6e3033a"),
+    (5, 4, 1, 7, 500, 1,
+     "d12fe4c4db5bdef0e82871d0cea1ed268eab13d47b9697cc8291b2c6b03ebfdd"),
+    (6, 1, 1, 8, 200, 6,
+     "9f1dafc4d2bf5e8b1c11758c4dccfc3352087b03cb4415f2e32036fe299d9d8c"),
+    (15, 7, 1, 9, 300, 6,
+     "445c02674040567ef83b25fad05cb073498f7029722b1137e5707a5c9b23df6c"),
+]
+
+
+def test_random_search_pinned_outputs():
+    for n, k, target, seed, budget, best_d, digest in RANDOM_PINS:
+        o = random_search(n, k, target, seed=seed, budget=budget)
+        got = (hashlib.sha256(o.witness.generator.tobytes()).hexdigest()
+               if o.witness is not None else None)
+        assert (o.best_d, got) == (best_d, digest), (n, k, seed)
+
+
+def test_packed_candidates_match_numpy(rng):
+    # the planes of [I | a], their matrix, and the packed hull
+    # test against the numpy path, for 1..8 rows and up to 140 columns
+    hull_dims = set()
+    for _ in range(300):
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 141))
+        a = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
+        a[rng.random(a.shape) < rng.random()] = 0
+        g = np.hstack([np.eye(k, dtype=np.uint8), a])
+        planes = search._systematic_planes(a)
+        assert planes == oracle_row_planes(g)
+        assert np.array_equal(gf4._planes_matrix(*planes, k + m), g)
+        dim = search._planes_hull_dim(*planes)
+        assert dim == hull_dim(LinearCode(g))
+        hull_dims.add(dim)
+    # self-orthogonal and dependent rows, through the numpy front end
+    for g in (simplex_matrix(2), simplex_matrix(3), np.ones((3, 4), np.uint8)):
+        dim = search._planes_hull_dim(*gf4._row_planes(g))
+        assert dim == hull_dim(LinearCode(g))
+        hull_dims.add(dim)
+    assert {0, 1, 2, 3} <= hull_dims
 
 
 def test_random_search_finds_known_cell():
