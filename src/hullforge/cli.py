@@ -118,6 +118,10 @@ def _emit_record(record, fmt, out):
 
 
 def cmd_analyze(args, out):
+    if not 0 <= args.cap <= DEFAULT_ENUM_CAP:
+        # a larger cap would start a 4^cap enumeration
+        print(f"error: need 0 <= --cap <= {DEFAULT_ENUM_CAP}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         text = Path(args.path).read_text(encoding="ascii")
     except OSError as exc:
@@ -147,6 +151,9 @@ def cmd_search(args, out):
         return EXIT_USAGE
     if args.budget < 1:
         print("error: need --budget >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.target_d is not None and not 1 <= args.target_d <= n:
+        print("error: need 1 <= --target-d <= n", file=sys.stderr)
         return EXIT_USAGE
     if k <= 3:
         if args.target_d is not None:

@@ -9,8 +9,10 @@ weights.  Generators are uint8 arrays holding one symbol per byte, kept in
 RREF so equality checks and serialization are deterministic; column order is
 never changed.  The enumeration takes the rows as two bit planes of Python
 ints (`gf4._row_planes`), spreads their multiples over uint64 words and
-takes each weight as popcount(p0 | p1); the randomized search feeds its
-packed candidates to the same routine (`_plane_weights`).
+takes each weight as popcount(p0 | p1), visiting one message per scalar
+class {c * x : c in GF(4)*} outside the expanded block (c * x has the weight
+of x); the randomized search feeds its packed candidates to the same
+routine (`_plane_weights`).
 """
 
 import numpy as np
@@ -26,7 +28,8 @@ from .exceptions import (
 DEFAULT_ENUM_CAP = 14
 
 # rows expanded into one packed block of 4^_BLOCK_K words during enumeration;
-# the rest are looped over as prefixes (4^(k - _BLOCK_K) iterations)
+# the s = k - _BLOCK_K others are looped over as prefixes, one per scalar
+# class (1 + (4^s - 1) / 3 iterations)
 _BLOCK_K = 9
 
 _WORD = (1 << 64) - 1
@@ -245,7 +248,17 @@ def _span(rows, n):
 
 def _plane_weights(lo, hi, n):
     """Weight counts A_0..A_n of the span of r >= 1 rows given as row planes
-    (lo, hi), with column j at bit j as in `gf4._row_planes`."""
+    (lo, hi), with column j at bit j as in `gf4._row_planes`.
+
+    The last min(r, _BLOCK_K) rows span one packed block; the first s rows
+    form the prefixes p added to it.  Scaling a message by c != 0 scales its
+    codeword and keeps the weight, and each message with p != 0 is c times
+    exactly one message whose prefix has leading nonzero coefficient 1, so
+    only those prefixes (indices 4^t <= i < 2 * 4^t of `_plane_span`,
+    t < s) and p = 0 are visited: A = A(p = 0) + 3 * sum A(p normalised),
+    exact for dependent rows too.  That is 1 + (4^s - 1) / 3 block passes
+    for the 4^s prefixes.
+    """
     counts = np.zeros(n + 1, dtype=np.int64)
     multiples = _plane_multiples(lo, hi, n)
     split = len(lo) - min(len(lo), _BLOCK_K)
@@ -254,13 +267,14 @@ def _plane_weights(lo, hi, n):
     mixed = np.empty_like(block)
     union = np.empty_like(block[0])
     weights = np.empty(block.shape[2], dtype=np.intp)
-    for i in range(prefixes.shape[2]):
+    for i in [0] + [j for t in range(split) for j in range(4 ** t, 2 * 4 ** t)]:
         np.bitwise_xor(block, prefixes[:, :, i: i + 1], out=mixed)
         np.bitwise_or(mixed[0], mixed[1], out=union)
         np.bitwise_count(union[0], out=weights)
         for word in union[1:]:
             weights += np.bitwise_count(word)
-        counts += np.bincount(weights, minlength=n + 1)
+        class_size = 3 if i else 1
+        counts += class_size * np.bincount(weights, minlength=n + 1)
     return counts
 
 

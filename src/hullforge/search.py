@@ -156,7 +156,10 @@ def _enumerate_multiplicities(n, k, d):
     `high`.  `bits` grows with n so that no lane, even with the maxed-out
     suffix and the bias added, carries into the next.  The Gram matrix is
     one int of 2-bit entries, ranked only at leaves that reach weight d.
+    A d < 1 would overfill the lanes, so it raises ValueError.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     geo = _geometry(k)
     length = geo.length
     lower, upper = multiplicity_bounds(n, k, d)
@@ -306,6 +309,8 @@ def certify_nonexistence(n, k, d):
     for an [n, k, >=d] hull-1 code; returns a certificate or a witness."""
     if k not in (2, 3):
         raise UnsupportedError("certification supports k in {2, 3}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     examined = 0
     length_n = n
     while length_n >= k and griesmer_max_d(length_n, k) >= d:

@@ -179,6 +179,41 @@ def test_search_rejects_budget_below_one(capsys, n, k, budget):
     assert captured.err.startswith("error:") and "--budget >= 1" in captured.err
 
 
+@pytest.mark.parametrize("n, k, target", [
+    ("16", "3", "-100000"), ("16", "3", "0"),
+    ("16", "3", "17"), ("16", "3", "40"), ("10", "1", "-1"),
+    ("9", "5", "0"), ("9", "5", "10"),
+])
+def test_search_rejects_target_d_out_of_range(capsys, n, k, target):
+    status, captured = run(capsys, "search", n, k, "--target-d", target)
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "1 <= --target-d <= n" in captured.err
+
+
+def test_search_accepts_target_d_equal_to_n(capsys):
+    status, captured = run(capsys, "search", "6", "2", "--target-d", "6")
+    assert status == 0
+    assert captured.out.startswith("no [6,2,>=6] hull-1 code exists")
+
+
+@pytest.mark.parametrize("cap", ["-1", "15", "20"])
+def test_analyze_rejects_cap_out_of_range(fixture_file, capsys, cap):
+    # --cap 20 on a [40,20] code would start a 4^20 enumeration
+    status, captured = run(capsys, "analyze", str(fixture_file), "--cap", cap)
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--cap" in captured.err
+
+
+@pytest.mark.parametrize("cap, d", [("0", "None"), ("14", "5")])
+def test_analyze_accepts_cap_bounds(fixture_file, capsys, cap, d):
+    status, captured = run(capsys, "analyze", str(fixture_file), "--cap", cap)
+    assert status == 0
+    assert captured.out.startswith(f"[9,4,{d}] code")
+
+
 def test_table_stdout(capsys):
     status, captured = run(capsys, "table", "--max-n", "6")
     assert status == 0

@@ -11,6 +11,7 @@ from conftest import (
     ORACLE_MUL,
     oracle_min_distance,
     oracle_row_planes,
+    oracle_rref,
     oracle_weights,
     random_code,
 )
@@ -335,3 +336,71 @@ def test_plane_weights_match_oracle(rng, n):
         counts = _plane_weights(*oracle_row_planes(g), n)
         expected = np.bincount(oracle_weights(g), minlength=n + 1)
         assert counts.tolist() == expected.tolist()
+
+
+def _direct_sum_rows(rng, n, rank, extra=()):
+    """Rows on n columns spanning C1 + C2, two systematic codes of ranks
+    rank // 2 and rank - rank // 2 on disjoint random column sets, mixed by
+    a random invertible matrix; `extra` inserts dependent rows at the given
+    positions ("zero", "repeat" or "sum").  Returns the rows and the
+    message weight counts expected of them: the convolution of the two
+    codes' counts from `codewords()`, times 4 per dependent row."""
+    cols = rng.permutation(n)
+    r1 = rank // 2
+    n1 = r1 + (n - rank) // 2
+    parts, expected = [], np.array([1])
+    for r, span in ((r1, cols[:n1]), (rank - r1, cols[n1:])):
+        g = np.zeros((r, n), dtype=np.uint8)
+        g[:, span[:r]] = np.eye(r, dtype=np.uint8)
+        g[:, span[r:]] = rng.integers(0, 4, size=(r, len(span) - r))
+        parts.append(g)
+        words = LinearCode.from_generator(g).codewords()
+        expected = np.convolve(expected, np.bincount(
+            np.count_nonzero(words, axis=1), minlength=n + 1))[: n + 1]
+    while True:
+        mix = rng.integers(0, 4, size=(rank, rank), dtype=np.uint8)
+        if len(oracle_rref(mix)[1]) == rank:
+            break
+    rows = list(gf4.matmul(mix, np.vstack(parts)))
+    for pos, kind in extra:
+        if kind == "zero":
+            row = np.zeros(n, dtype=np.uint8)
+        elif kind == "repeat":
+            row = rows[int(rng.integers(len(rows)))].copy()
+        else:
+            a, b = rng.choice(len(rows), size=2, replace=False)
+            row = gf4.MUL[2][rows[a]] ^ rows[b]
+        rows.insert(pos, row)
+        expected = 4 * expected
+    return np.array(rows), expected
+
+
+@pytest.mark.parametrize("n", [11, 63, 64, 65, 129])
+def test_plane_weights_beyond_block_match_direct_sums(rng, n):
+    # k > _BLOCK_K: the first k - _BLOCK_K rows are prefixes, one visited
+    # per scalar class; at n = 11 the rows beyond the 11th are dependent
+    for k in range(10, 14):
+        rank = min(k, n)
+        extra = [(int(rng.integers(rank + i + 1)), "sum") for i in range(k - rank)]
+        rows, expected = _direct_sum_rows(rng, n, rank, extra)
+        counts = _plane_weights(*oracle_row_planes(rows), n)
+        assert counts.tolist() == expected.tolist()
+        assert counts.sum() == 4 ** k
+        if rank == k:
+            assert not (counts[1:] % 3).any()
+
+
+@pytest.mark.parametrize("extra", [
+    [(0, "zero")],                    # the leading prefix row is zero
+    [(3, "zero"), (0, "repeat")],     # a zero row in the block
+    [(1, "repeat"), (11, "zero")],    # a repeated prefix row, last row zero
+    [(0, "sum"), (1, "sum"), (2, "zero")],
+])
+def test_plane_weights_with_dependent_rows(rng, extra):
+    # rank < r: each codeword comes from 4^(r - rank) messages, and the
+    # counts still sum to 4^r
+    rows, expected = _direct_sum_rows(rng, 70, 12 - len(extra), extra)
+    assert rows.shape == (12, 70)
+    counts = _plane_weights(*oracle_row_planes(rows), 70)
+    assert counts.tolist() == expected.tolist()
+    assert counts.sum() == 4 ** 12

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hullforge
 from conftest import oracle_row_planes
 from hullforge import gf4, search
 from hullforge.bounds import dh_closed_form, table5_lookup
@@ -140,6 +145,34 @@ def test_certify_nonexistence():
     assert found.witness.n == 8
     assert found.witness.min_distance() >= 5
     assert hull_dim(found.witness) == 1
+
+
+@pytest.mark.parametrize("d", [0, -5, -1000, -100000])
+def test_certification_rejects_distance_below_one(d):
+    # a d < 1 overfilled the DFS weight lanes, which then carried into each
+    # other: d = -100000 came back as a nonexistence certificate
+    with pytest.raises(ValueError):
+        certify_nonexistence(16, 3, d)
+    with pytest.raises(ValueError):
+        _enumerate_multiplicities(16, 3, d)
+
+
+def test_certification_guard_survives_optimisation():
+    # `python -O` drops assert statements; the check must still raise
+    script = (
+        "import sys\n"
+        "from hullforge.search import certify_nonexistence\n"
+        "try:\n"
+        "    certify_nonexistence(16, 3, -5)\n"
+        "except ValueError:\n"
+        "    print(sys.flags.optimize)\n"
+    )
+    src = str(Path(hullforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
 
 
 def test_certify_nonexistence_zero_column_lift():
