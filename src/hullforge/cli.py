@@ -160,11 +160,13 @@ def cmd_search(args, out):
             result = search.certify_nonexistence(n, k, args.target_d) \
                 if k >= 2 else None
             if isinstance(result, search.NonexistenceCertificate):
+                bounds = result.pruning_bounds
+                reason = "Griesmer bound" if bounds is None else "exhaustive"
+                tail = "" if bounds is None else f", per-column bounds {bounds}"
                 out.write(
                     f"no [{n},{k},>={args.target_d}] hull-1 code exists "
-                    f"(exhaustive; {result.vectors_examined} multiplicity "
-                    f"vectors examined, per-column bounds "
-                    f"{result.pruning_bounds})\n"
+                    f"({reason}; {result.vectors_examined} multiplicity "
+                    f"vectors examined{tail})\n"
                 )
                 return EXIT_OK
             if isinstance(result, search.CounterexampleFound):

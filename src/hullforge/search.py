@@ -58,7 +58,9 @@ class NonexistenceCertificate:
     n: int
     k: int
     d: int
-    pruning_bounds: tuple  # (lower, upper) per-multiplicity interval
+    # (lower, upper) per-multiplicity interval; None when d is above the
+    # Griesmer bound, which leaves nothing to enumerate
+    pruning_bounds: tuple | None
     vectors_examined: int
 
 
@@ -80,8 +82,10 @@ class _ProjectiveGeometry:
 
     The DFS works on Python integers derived from these tables: a weight
     vector is packed into one int of `bits`-bit lanes (`pack`), and a Gram
-    matrix into one int of 2-bit entries (`gram_bits`, turned into the int
-    rows of `gf4._eliminate` only by `gram_rank`).
+    matrix into one int of 2k rows of k bits (`gram_bits`): the lo planes of
+    its rows as `gf4._hermitian_gram_planes` returns them, then the hi
+    planes, which `gram_rank` slices back into the rows of
+    `gf4._eliminate`.
     """
 
     def __init__(self, k):
@@ -90,13 +94,11 @@ class _ProjectiveGeometry:
         s = simplex_matrix(k)
         # Z[x, i] = 1 iff class-x messages are nonzero on column i
         self.incidence = (gf4.matmul(s.T, s) != 0).astype(np.int64)
-        # rank-one Hermitian Gram blocks h_i conj(h_i)^T, flattened and
-        # packed as 2-bit entries
+        # rank-one Hermitian Gram blocks h_i conj(h_i)^T as 2k packed rows
         self.gram_bits = []
         for i in range(self.length):
-            col = s[:, i: i + 1]
-            block = gf4.matmul(col, gf4.conj_transpose(col)).reshape(-1)
-            self.gram_bits.append(self.pack(block, 2))
+            lo, hi = gf4._hermitian_gram_planes(*gf4._row_planes(s[:, i: i + 1]))
+            self.gram_bits.append(self.pack(lo + hi, k))
         # incidence column suffix sums, for distance pruning
         self.suffix = np.zeros((self.length, self.length + 1), dtype=np.int64)
         self.suffix[:, :-1] = np.cumsum(self.incidence[:, ::-1], axis=1)[:, ::-1]
@@ -108,13 +110,8 @@ class _ProjectiveGeometry:
 
     def gram_rank(self, packed):
         k = self.k
-        lo, hi = [0] * k, [0] * k
-        for i in range(k):
-            for j in range(k):
-                entry = packed >> (2 * (i * k + j))
-                lo[i] |= (entry & 1) << j
-                hi[i] |= (entry >> 1 & 1) << j
-        return len(gf4._eliminate(lo, hi))
+        rows = [packed >> (r * k) & ((1 << k) - 1) for r in range(2 * k)]
+        return len(gf4._eliminate(rows[:k], rows[k:]))
 
 
 _GEOMETRY = {}
@@ -155,7 +152,7 @@ def _enumerate_multiplicities(n, k, d):
     its weight is >= d, so "every weight >= d" is one mask test against
     `high`.  `bits` grows with n so that no lane, even with the maxed-out
     suffix and the bias added, carries into the next.  The Gram matrix is
-    one int of 2-bit entries, ranked only at leaves that reach weight d.
+    one int of packed row planes, ranked only at leaves that reach weight d.
     A d < 1 would overfill the lanes, so it raises ValueError.
     """
     if d < 1:
@@ -322,7 +319,8 @@ def certify_nonexistence(n, k, d):
                 code = _append_zero_column(code)
             return CounterexampleFound(n, k, d, code)
         length_n -= 1
-    return NonexistenceCertificate(n, k, d, multiplicity_bounds(n, k, d), examined)
+    bounds = multiplicity_bounds(n, k, d) if griesmer_max_d(n, k) >= d else None
+    return NonexistenceCertificate(n, k, d, bounds, examined)
 
 
 # -- randomized search -----------------------------------------------------

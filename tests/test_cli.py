@@ -198,6 +198,20 @@ def test_search_accepts_target_d_equal_to_n(capsys):
     assert captured.out.startswith("no [6,2,>=6] hull-1 code exists")
 
 
+@pytest.mark.parametrize("n, k, target, reason", [
+    # above the Griesmer bound nothing is enumerated, so no interval is shown
+    ("16", "3", "16", "Griesmer bound; 0 multiplicity vectors examined"),
+    ("16", "3", "13", "Griesmer bound; 0 multiplicity vectors examined"),
+    ("10", "2", "9", "Griesmer bound; 0 multiplicity vectors examined"),
+    ("16", "3", "12", "exhaustive; 8733 multiplicity vectors examined, "
+                      "per-column bounds (0, 1)"),
+])
+def test_search_certificate_lines(capsys, n, k, target, reason):
+    status, captured = run(capsys, "search", n, k, "--target-d", target)
+    assert status == 0
+    assert captured.out == f"no [{n},{k},>={target}] hull-1 code exists ({reason})\n"
+
+
 @pytest.mark.parametrize("cap", ["-1", "15", "20"])
 def test_analyze_rejects_cap_out_of_range(fixture_file, capsys, cap):
     # --cap 20 on a [40,20] code would start a 4^20 enumeration

@@ -130,6 +130,21 @@ def test_zero_one_multiplicities_agree_with_brute_force(n, d):
     assert (witness is not None) == exists
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_gram_rank_matches_numpy_gram(rng, k):
+    # the DFS XORs the packed Gram blocks of the odd-multiplicity columns;
+    # its rank must be the rank of G conj(G)^T for the repeated-column G
+    geo = search._geometry(k)
+    s = simplex_matrix(k)
+    for _ in range(200):
+        m = rng.integers(0, 4, size=geo.length)
+        packed = 0
+        for i in np.flatnonzero(m % 2):
+            packed ^= geo.gram_bits[i]
+        g = np.repeat(s, m, axis=1)
+        assert geo.gram_rank(packed) == gf4.rank(gf4.hermitian_gram(g))
+
+
 def test_exhaustive_rejects_large_k():
     with pytest.raises(UnsupportedError):
         exhaustive_dh(10, 4)
