@@ -180,6 +180,10 @@ def cmd_search(args, out):
         if outcome.witness is not None:
             out.write(matfmt.render(outcome.witness.generator))
         return EXIT_OK
+    if args.seed < 0:
+        # the exhaustive path above ignores the seed
+        print("error: need --seed >= 0", file=sys.stderr)
+        return EXIT_USAGE
     target = args.target_d if args.target_d is not None else 1
     outcome = search.random_search(n, k, target, seed=args.seed,
                                    budget=args.budget)

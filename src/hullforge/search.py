@@ -6,6 +6,9 @@ equivalent to a code whose generator columns are simplex columns with
 multiplicities m_i, so enumerating m with column-count pruning is a complete
 search over that class.  Codes with a zero column (dual distance 1) are
 covered by the result at length n - 1; the lengths k..n are solved bottom-up.
+The walk is a DFS on packed Python ints over the leading columns; each node
+it reaches at a fixed depth is settled by one numpy evaluation over a table
+of every completion of the remaining columns, in the DFS's own order.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: a
 serial run over fixed-size chunks, each with its own RNG stream, so a seed
@@ -39,6 +42,8 @@ from .exceptions import UnsupportedError
 from .hull import hull_dim, hull_information_set
 
 _RANDOM_CHUNK = 1024
+# most rows, width**span, in one settled-subtree table of the k <= 3 DFS
+_TABLE_ROWS = 1024
 
 # byte x -> 255 - x: a larger translated key is a lexicographically smaller
 # generator, so a higher (d, key) prefers the smaller generator on ties
@@ -85,7 +90,10 @@ class _ProjectiveGeometry:
     matrix into one int of 2k rows of k bits (`gram_bits`): the lo planes of
     its rows as `gf4._hermitian_gram_planes` returns them, then the hi
     planes, which `gram_rank` slices back into the rows of
-    `gf4._eliminate`.
+    `gf4._eliminate`.  Its completion tables take the lane sums of their
+    rows from `incidence` and `suffix` as numpy integers of the same
+    `bits`, so that a packed weight and a table row line up lane for lane,
+    and XOR the same `gram_bits`.
     """
 
     def __init__(self, k):
@@ -146,14 +154,36 @@ def _enumerate_multiplicities(n, k, d):
     through, up to and including the witness, whether or not its weights
     reach d.
 
-    The walk runs on Python ints, with no numpy call per node.  The weight
-    vector is one int with a `bits`-bit lane per projective class; adding
-    `bias` = 2^(bits-1) - d to every lane sets a lane's top bit exactly when
-    its weight is >= d, so "every weight >= d" is one mask test against
-    `high`.  `bits` grows with n so that no lane, even with the maxed-out
-    suffix and the bias added, carries into the next.  The Gram matrix is
-    one int of packed row planes, ranked only at leaves that reach weight d.
-    A d < 1 would overfill the lanes, so it raises ValueError.
+    The prune before position p keeps a prefix when every class x has
+    slack W_x + upper * suffix[x, p] - d >= 0, W being the prefix weights.
+    Fixing column p at v changes the slack by (v - upper) * Z[x, p] <= 0,
+    so slack never grows along a path.  A vector therefore passes every
+    prune on its path exactly when it passes the deepest one, before
+    column last - 1: that is the test for "examined", and the shallower
+    prunes only cut subtrees that hold no examined vector.
+
+    The walk has two parts.  Columns 0..cut-1 are a DFS on Python ints,
+    with no numpy call per node.  The weight vector is one int with a
+    `bits`-bit lane per projective class; adding `bias` = 2^(bits-1) - d to
+    every lane sets a lane's top bit exactly when its weight is >= d, so
+    "every weight >= d" is one mask test against `high`.  `bits` grows with
+    n so that no lane, even with the maxed-out suffix and the bias added,
+    carries into the next, and is rounded up to 16, 32 or 64, so that one
+    `to_bytes` and `np.frombuffer` read a packed weight as numpy lanes.
+
+    Each node the DFS reaches at cut = length - span is settled by one
+    numpy evaluation over the table of its remaining sum: every completion
+    (m_cut..m_last), in the DFS's own value order, with its lane sums
+    through last - 2 plus the maxed-out last two columns, its lane sums
+    through last, and its Gram parity XOR.  The rows that pass the deepest
+    prune are the vectors examined, and the witness is the first of them
+    whose weights all reach d and whose Gram matrix, ranked only then, has
+    rank k - 1.  `span` is the largest value with
+    width^span <= _TABLE_ROWS, width = upper - lower + 1, but at least 2
+    and at most length; the tables are freed on return.
+
+    A d < 1 would overfill the lanes, so it raises ValueError; a lane of
+    more than 64 bits raises UnsupportedError.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -177,22 +207,30 @@ def _enumerate_multiplicities(n, k, d):
         hit = n >= d and hull_one(gram_bits[0] if n % 2 else 0)
         return ((n,) if hit else None), 1
 
-    bits = (max(n, d) * (length + 2)).bit_length() + 1
+    fit = (max(n, d) * (length + 2)).bit_length() + 1
+    bits = next((b for b in (16, 32, 64) if b >= fit), None)
+    if bits is None:
+        raise UnsupportedError(f"n={n} is too large for 64-bit weight lanes")
+    lane = np.dtype(f"<i{bits // 8}")
+    width = upper - lower + 1
+    span = 2
+    while span < length and width ** (span + 1) <= _TABLE_ROWS:
+        span += 1
+    cut = length - span
     ones = geo.pack([1] * length, bits)
     high = ones << (bits - 1)
     bias = high - d * ones
-    inc = [geo.pack(geo.incidence[:, i], bits) for i in range(length)]
+    inc = [geo.pack(geo.incidence[:, i], bits) for i in range(cut)]
     # weights + prune[pos] has every top bit set iff a maxed-out suffix from
     # pos on can still lift every weight to d
-    prune = [upper * geo.pack(geo.suffix[:, i], bits) + bias for i in range(length)]
+    prune = [upper * geo.pack(geo.suffix[:, i], bits) + bias for i in range(cut + 1)]
     orders = {}  # (pos, remaining) -> value order; lo and hi follow from both
-    m = [0] * length
+    tables = {}  # remaining at cut -> (sums, grams, rows)
+    m = [0] * length  # recurse sets m[:cut], fill sets m[cut:]
     examined = 0
     witness = None
 
-    def recurse(pos, remaining, weights, gram):
-        # the caller has checked prune[pos]; the last column takes the rest
-        nonlocal examined, witness
+    def values(pos, remaining):
         order = orders.get((pos, remaining))
         if order is None:
             # feasibility of the remaining sum
@@ -203,22 +241,59 @@ def _enumerate_multiplicities(n, k, d):
             mean = remaining / (length - pos)
             order = sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x))
             orders[pos, remaining] = order
+        return order
+
+    def fill(pos, remaining, out):
+        # append every completion (m_pos..m_last) to out, in DFS order; the
+        # last column takes the rest
+        if pos == last:
+            m[last] = remaining
+            out += m[cut:]
+            return
+        for v in values(pos, remaining):
+            m[pos] = v
+            fill(pos + 1, remaining - v, out)
+
+    incidence = geo.incidence[:, cut:].astype(lane)
+    ceiling = (upper * geo.suffix[:, last - 1]).astype(lane)[:, None]
+    blocks = np.array(gram_bits[cut:], dtype=np.int64)
+
+    def table(remaining):
+        # per class x and row r: the lane sums through last - 2 with the
+        # maxed-out last two columns (the deepest prune), then the weights
+        # of the whole completion; and the Gram parity XOR of each row
+        out = []
+        fill(cut, remaining, out)
+        rows = np.array(out, dtype=lane).reshape(-1, span)
+        partial = incidence[:, :-2] @ rows[:, :-2].T
+        sums = np.stack([partial + ceiling, partial + incidence[:, -2:] @ rows[:, -2:].T])
+        grams = np.bitwise_xor.reduce(np.where(rows % 2 == 1, blocks, 0), axis=1)
+        return sums, grams, rows
+
+    def settle(remaining, weights, gram):
+        nonlocal examined, witness
+        found = tables.get(remaining)
+        if found is None:
+            found = tables[remaining] = table(remaining)
+        sums, grams, rows = found
+        need = d - np.frombuffer(weights.to_bytes(length * bits // 8, "little"), lane)
+        passed, reached = np.logical_and.reduce(sums >= need[:, None], axis=1)
+        for r in reached.nonzero()[0].tolist():
+            if hull_one(gram ^ int(grams[r])):
+                examined += int(np.count_nonzero(passed[: r + 1]))
+                witness = tuple(m[:cut] + rows[r].tolist())
+                return
+        examined += int(np.count_nonzero(passed))
+
+    def recurse(pos, remaining, weights, gram):
+        # the caller has checked prune[pos]
+        if pos == cut:
+            settle(remaining, weights, gram)
+            return
         step = inc[pos]
         block = gram_bits[pos]
-        if pos + 1 == last:
-            # leaves: lo and hi keep the rest inside [lower, upper]
-            for v in order:
-                examined += 1
-                rest = remaining - v
-                if (weights + v * step + rest * inc[last] + bias) & high == high:
-                    gram_v = gram ^ block if v % 2 else gram
-                    if hull_one(gram_v ^ gram_bits[last] if rest % 2 else gram_v):
-                        m[pos], m[last] = v, rest
-                        witness = tuple(m)
-                        return
-            return
         ahead = prune[pos + 1]
-        for v in order:
+        for v in values(pos, remaining):
             w = weights + v * step
             if (w + ahead) & high != high:
                 continue
@@ -227,8 +302,13 @@ def _enumerate_multiplicities(n, k, d):
             if witness is not None:
                 return
 
-    if prune[0] & high == high:
-        recurse(0, n, 0, 0)
+    try:
+        if prune[0] & high == high:
+            recurse(0, n, 0, 0)
+    finally:
+        # the recursive closures hold themselves; breaking those cycles frees
+        # the tables now instead of at the next cyclic garbage collection
+        recurse = fill = None
     return witness, examined
 
 
@@ -424,6 +504,8 @@ def random_search(n, k, target_d, seed, budget):
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     if k > DEFAULT_ENUM_CAP:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hullforge import gf4
+from hullforge import gf4, search
 from hullforge.code import LinearCode
 
 # Independent GF(4) tables for oracle computations: 0,1,w,W with w^2 = w + 1.
@@ -93,6 +93,104 @@ def oracle_weights(gen):
 
 def oracle_min_distance(gen):
     return min(w for w in oracle_weights(gen) if w > 0)
+
+
+def oracle_enumerate_multiplicities(n, k, d):
+    """The k <= 3 multiplicity-vector DFS as it was before its bottom levels
+    became numpy tables, kept as the reference for (witness, examined).
+
+    Walk the multiplicity vectors of weight >= d, pruned by the column
+    bounds, until the first hull-1 hit.
+
+    Returns (witness_m or None, vectors_examined).  vectors_examined counts
+    every complete vector that the column bounds and the suffix pruning let
+    through, up to and including the witness, whether or not its weights
+    reach d.
+
+    The walk runs on Python ints, with no numpy call per node.  The weight
+    vector is one int with a `bits`-bit lane per projective class; adding
+    `bias` = 2^(bits-1) - d to every lane sets a lane's top bit exactly when
+    its weight is >= d, so "every weight >= d" is one mask test against
+    `high`.  `bits` grows with n so that no lane, even with the maxed-out
+    suffix and the bias added, carries into the next.  The Gram matrix is
+    one int of packed row planes, ranked only at leaves that reach weight d.
+    A d < 1 would overfill the lanes, so it raises ValueError.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    geo = search._geometry(k)
+    length = geo.length
+    lower, upper = search.multiplicity_bounds(n, k, d)
+    if upper < lower or upper * length < n or lower * length > n:
+        return None, 0
+    ranks = {}  # packed Gram -> rank
+
+    def hull_one(gram):
+        if gram not in ranks:
+            ranks[gram] = geo.gram_rank(gram)
+        return ranks[gram] == k - 1
+
+    gram_bits = geo.gram_bits
+    last = length - 1
+    if last == 0:
+        # k = 1: the single column takes all of n, which the checks above
+        # put inside [lower, upper], so this one vector is the only leaf
+        hit = n >= d and hull_one(gram_bits[0] if n % 2 else 0)
+        return ((n,) if hit else None), 1
+
+    bits = (max(n, d) * (length + 2)).bit_length() + 1
+    ones = geo.pack([1] * length, bits)
+    high = ones << (bits - 1)
+    bias = high - d * ones
+    inc = [geo.pack(geo.incidence[:, i], bits) for i in range(length)]
+    # weights + prune[pos] has every top bit set iff a maxed-out suffix from
+    # pos on can still lift every weight to d
+    prune = [upper * geo.pack(geo.suffix[:, i], bits) + bias for i in range(length)]
+    orders = {}  # (pos, remaining) -> value order; lo and hi follow from both
+    m = [0] * length
+    examined = 0
+    witness = None
+
+    def recurse(pos, remaining, weights, gram):
+        # the caller has checked prune[pos]; the last column takes the rest
+        nonlocal examined, witness
+        order = orders.get((pos, remaining))
+        if order is None:
+            # feasibility of the remaining sum
+            lo = max(lower, remaining - upper * (last - pos))
+            hi = min(upper, remaining - lower * (last - pos))
+            # try the value closest to the running mean first: witnesses
+            # sit near balanced multiplicities, so they surface much earlier
+            mean = remaining / (length - pos)
+            order = sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x))
+            orders[pos, remaining] = order
+        step = inc[pos]
+        block = gram_bits[pos]
+        if pos + 1 == last:
+            # leaves: lo and hi keep the rest inside [lower, upper]
+            for v in order:
+                examined += 1
+                rest = remaining - v
+                if (weights + v * step + rest * inc[last] + bias) & high == high:
+                    gram_v = gram ^ block if v % 2 else gram
+                    if hull_one(gram_v ^ gram_bits[last] if rest % 2 else gram_v):
+                        m[pos], m[last] = v, rest
+                        witness = tuple(m)
+                        return
+            return
+        ahead = prune[pos + 1]
+        for v in order:
+            w = weights + v * step
+            if (w + ahead) & high != high:
+                continue
+            m[pos] = v
+            recurse(pos + 1, remaining - v, w, gram ^ block if v % 2 else gram)
+            if witness is not None:
+                return
+
+    if prune[0] & high == high:
+        recurse(0, n, 0, 0)
+    return witness, examined
 
 
 def random_code(rng, n, k):

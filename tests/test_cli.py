@@ -179,6 +179,21 @@ def test_search_rejects_budget_below_one(capsys, n, k, budget):
     assert captured.err.startswith("error:") and "--budget >= 1" in captured.err
 
 
+@pytest.mark.parametrize("n, k, seed", [("9", "5", "-1"), ("12", "6", "-7")])
+def test_search_rejects_negative_seed_on_randomized_path(capsys, n, k, seed):
+    # numpy refuses a negative seed with a traceback, which exited 1: the
+    # code for a verification mismatch
+    status, captured = run(capsys, "search", n, k, "--seed", seed)
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: need --seed >= 0\n"
+
+
+def test_search_exhaustive_path_ignores_seed(capsys):
+    assert run(capsys, "search", "7", "2", "--seed", "-1") == \
+        run(capsys, "search", "7", "2")
+
+
 @pytest.mark.parametrize("n, k, target", [
     ("16", "3", "-100000"), ("16", "3", "0"),
     ("16", "3", "17"), ("16", "3", "40"), ("10", "1", "-1"),

@@ -1,17 +1,19 @@
+import gc
 import hashlib
 import os
 import subprocess
 import sys
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hullforge
-from conftest import oracle_row_planes
+from conftest import oracle_enumerate_multiplicities, oracle_row_planes
 from hullforge import gf4, search
-from hullforge.bounds import dh_closed_form, table5_lookup
+from hullforge.bounds import dh_closed_form, griesmer_max_d, table5_lookup
 from hullforge.code import LinearCode, WeightDistribution
 from hullforge.construct import (
     MultiplicityVector,
@@ -110,24 +112,114 @@ def test_weight_lanes_do_not_overflow_at_large_n():
     _verify_multiplicity_witness(3, m, 1)
 
 
+def _class_incidence(k):
+    # Z[x, i] = 1 iff the x-th nonzero simplex codeword is nonzero at column
+    # i, read off the codewords instead of the DFS tables (each projective
+    # class appears three times, which leaves every minimum unchanged)
+    words = LinearCode(simplex_matrix(k)).codewords()
+    return (words[words.any(axis=1)] != 0).astype(np.int64)
+
+
+def _passes_deepest_prune(vectors, support, upper, d):
+    # the prune before the last two columns: the weights through column
+    # last - 2, with both remaining columns at the upper bound, reach d in
+    # every class; the DFS counts a vector exactly when it passes this one
+    deep = vectors[:, :-2] @ support[:, :-2].T + upper * support[:, -2:].sum(axis=1)
+    return deep.min(axis=1) >= d
+
+
+def _hull_one_exists(k, vectors):
+    return any(
+        hull_dim(code_from_multiplicity(MultiplicityVector(k, tuple(m)))) == 1
+        for m in vectors
+    )
+
+
 @pytest.mark.parametrize("n, d", [(16, 12), (15, 11), (20, 15), (14, 10)])
 def test_zero_one_multiplicities_agree_with_brute_force(n, d):
-    # where every multiplicity is 0 or 1, try every support of size n, with
-    # weights read off the simplex codewords instead of the DFS tables;
-    # (14, 10) has a witness, the other three are certificates
+    # where every multiplicity is 0 or 1, try every support of size n;
+    # (14, 10) has a witness, the other three are certificates, which
+    # examine exactly the supports that pass the deepest prune
     assert multiplicity_bounds(n, 3, d) == (0, 1)
-    words = LinearCode(simplex_matrix(3)).codewords()
-    support = (words[words.any(axis=1)] != 0).astype(np.int64)
+    support = _class_incidence(3)
     chosen = np.array(list(combinations(range(support.shape[1]), n)))
     vectors = np.zeros((len(chosen), support.shape[1]), dtype=np.int64)
     np.put_along_axis(vectors, chosen, 1, axis=1)
     heavy = vectors[(vectors @ support.T).min(axis=1) >= d]
-    exists = any(
-        hull_dim(code_from_multiplicity(MultiplicityVector(3, tuple(m)))) == 1
-        for m in heavy
-    )
-    witness, _ = _enumerate_multiplicities(n, 3, d)
+    exists = _hull_one_exists(3, heavy)
+    witness, examined = _enumerate_multiplicities(n, 3, d)
     assert (witness is not None) == exists
+    if not exists:
+        passed = _passes_deepest_prune(vectors, support, 1, d)
+        assert examined == np.count_nonzero(passed)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_k2_multiplicities_agree_with_brute_force(n):
+    # every vector of the whole box [lower, upper]^5 that sums to n, for
+    # every d: a witness exists iff some heavy vector is hull-1, and the
+    # vectors examined are those that pass the deepest prune, all of them
+    # when there is no witness
+    support = _class_incidence(2)
+    for d in range(1, n + 1):
+        lower, upper = multiplicity_bounds(n, 2, d)
+        box = [m for m in product(range(lower, upper + 1), repeat=5)
+               if sum(m) == n]
+        vectors = np.array(box, dtype=np.int64).reshape(-1, 5)
+        passed = np.count_nonzero(_passes_deepest_prune(vectors, support, upper, d))
+        heavy = vectors[(vectors @ support.T).min(axis=1) >= d]
+        exists = _hull_one_exists(2, heavy)
+        witness, examined = _enumerate_multiplicities(n, 2, d)
+        assert (witness is not None) == exists, d
+        if exists:
+            assert 1 <= examined <= passed, d
+            assert list(witness) in heavy.tolist(), d
+        else:
+            assert examined == passed, d
+
+
+# (n, k, d): k = 1..3 at n <= 23 around the Griesmer bound, then a length
+# of two full simplex copies, a d above the bound, and a d far below it,
+# which takes 32-bit lanes and the narrowest tables (span 2)
+ORACLE_GRID = [
+    (n, k, d)
+    for k in (1, 2, 3)
+    for n in range(k, 24)
+    for d in range(max(1, griesmer_max_d(n, k) - 2), griesmer_max_d(n, k) + 2)
+] + [(42, 3, 32), (26, 3, 20), (2500, 3, 1)]
+
+
+def test_table_walk_matches_recursive_oracle():
+    # same witness and same count of vectors examined as the recursive DFS
+    # that walks every level in Python
+    for n, k, d in ORACLE_GRID:
+        assert _enumerate_multiplicities(n, k, d) == \
+            oracle_enumerate_multiplicities(n, k, d), (n, k, d)
+
+
+def test_walk_frees_its_tables():
+    # the settled-subtree tables must not outlive the call, not even when
+    # the cyclic collector never runs
+    search._geometry(3)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n, d in ((10, 7), (11, 8), (15, 11)):
+            _enumerate_multiplicities(n, 3, d)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert retained < 256 * 1024
+
+
+def test_walk_rejects_lengths_past_64_bit_lanes():
+    # the weight lanes are numpy integers of at most 64 bits
+    with pytest.raises(UnsupportedError, match="64-bit"):
+        _enumerate_multiplicities(2**62, 3, 2**62 - 2**60)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -255,6 +347,14 @@ def test_random_search_recomputes_witness_distance(monkeypatch):
 def test_random_search_rejects_bad_inputs(n, k, budget, message):
     with pytest.raises(ValueError, match=message):
         random_search(n, k, 1, seed=0, budget=budget)
+
+
+@pytest.mark.parametrize("seed, budget", [(-1, 10), (-(2**40), 2048)])
+def test_random_search_rejects_negative_seed(seed, budget):
+    # a negative seed used to reach numpy's seeding, whose ValueError the
+    # CLI could not tell from a programming error
+    with pytest.raises(ValueError, match="seed >= 0"):
+        random_search(9, 5, 1, seed=seed, budget=budget)
 
 
 # (n, k, target_d, seed, budget, best_d, SHA-256 of the witness generator's
