@@ -94,12 +94,13 @@ def cost(g, n, k, d):
     return low + 3 * 4 ** (d - 1) * abs(hull - 1)
 
 
-def anneal(n, k, d, seed, steps=60_000, t0=6.0, t1=0.02):
+def anneal(n, k, d, seed):
     """Simulated annealing on [I | A] by single-entry changes.
 
     Cost = weighted count of nonzero codewords below d plus a penalty for
     hull dimension != 1; the first state of cost 0 is returned.
     """
+    steps, t0, t1 = 60_000, 6.0, 0.02  # steps, start and end temperature
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
     g = np.hstack([np.eye(k, dtype=np.uint8), a])

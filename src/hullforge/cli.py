@@ -157,8 +157,7 @@ def cmd_search(args, out):
         return EXIT_USAGE
     if k <= 3:
         if args.target_d is not None:
-            result = search.certify_nonexistence(n, k, args.target_d) \
-                if k >= 2 else None
+            result = search.certify_nonexistence(n, k, args.target_d)
             if isinstance(result, search.NonexistenceCertificate):
                 bounds = result.pruning_bounds
                 reason = "Griesmer bound" if bounds is None else "exhaustive"
@@ -169,11 +168,10 @@ def cmd_search(args, out):
                     f"vectors examined{tail})\n"
                 )
                 return EXIT_OK
-            if isinstance(result, search.CounterexampleFound):
-                out.write(f"witness found (exhaustive), d = "
-                          f"{result.witness.min_distance()}\n")
-                out.write(matfmt.render(result.witness.generator))
-                return EXIT_OK
+            out.write(f"witness found (exhaustive), d = "
+                      f"{result.witness.min_distance()}\n")
+            out.write(matfmt.render(result.witness.generator))
+            return EXIT_OK
         outcome = search.exhaustive_dh(n, k)
         out.write(f"exhaustive: best_d = {outcome.best_d} "
                   f"({outcome.explored} multiplicity vectors examined)\n")
@@ -233,23 +231,23 @@ def _table_cell(n, k, exhaustive_max_n):
     return None
 
 
+def _write_table_csv(cells, out):
+    writer = csv.writer(out)
+    writer.writerow(["n", "k", "d", "hull_dim", "method"])
+    for cell in cells:
+        writer.writerow([cell["n"], cell["k"], cell["d"], 1, cell["method"]])
+
+
 def cmd_table(args, out):
     cells = table_cells(args.max_n, args.k, args.exhaustive_max_n)
     if args.out:
         Path(args.out + ".json").write_text(json.dumps(cells, indent=2))
         with open(args.out + ".csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "k", "d", "hull_dim", "method"])
-            for cell in cells:
-                writer.writerow([cell["n"], cell["k"], cell["d"], 1,
-                                 cell["method"]])
+            _write_table_csv(cells, fh)
         out.write(f"wrote {len(cells)} cells to {args.out}.json and "
                   f"{args.out}.csv\n")
     else:
-        writer = csv.writer(out)
-        writer.writerow(["n", "k", "d", "hull_dim", "method"])
-        for cell in cells:
-            writer.writerow([cell["n"], cell["k"], cell["d"], 1, cell["method"]])
+        _write_table_csv(cells, out)
     return EXIT_OK
 
 

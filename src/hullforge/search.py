@@ -10,9 +10,10 @@ The walk is a DFS on packed Python ints over the leading columns; each node
 it reaches at a fixed depth is settled by one numpy evaluation over a table
 of every completion of the remaining columns, in the DFS's own order.
 
-For k >= 4 only a seeded, deterministic randomized search is offered: a
-serial run over fixed-size chunks, each with its own RNG stream, so a seed
-and a budget fix every emitted value.  It never claims exhaustiveness.
+For k >= 4 only a seeded, deterministic randomized search is offered: one
+loop over the budget, with one running best, that starts a new RNG stream
+every _RANDOM_CHUNK candidates, so a seed and a budget fix every emitted
+value.  It never claims exhaustiveness.
 Candidates are evaluated on packed row planes, two Python ints per row as
 in `gf4._eliminate`: the hull test is the rank of a Gram matrix built by
 popcount parity, and weights come from the shared `code._plane_weights`,
@@ -25,7 +26,6 @@ survive `python -O`.
 """
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -44,10 +44,6 @@ from .hull import hull_dim, hull_information_set
 _RANDOM_CHUNK = 1024
 # most rows, width**span, in one settled-subtree table of the k <= 3 DFS
 _TABLE_ROWS = 1024
-
-# byte x -> 255 - x: a larger translated key is a lexicographically smaller
-# generator, so a higher (d, key) prefers the smaller generator on ties
-_NEG = bytes(range(255, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,8 @@ def multiplicity_bounds(n, k, d):
     """Per-column multiplicity interval implied by minimum weight >= d."""
     if k >= 3:
         lower = max(0, 4 * d - 3 * n)
-        upper = n - ceil((4 ** (k - 1) - 1) * d / (3 * 4 ** (k - 2)))
+        # an integer ceiling: in floats it goes wrong from d of about 2^50
+        upper = n + -(4 ** (k - 1) - 1) * d // (3 * 4 ** (k - 2))
     elif k == 2:
         # each projective message class vanishes on exactly one column
         lower, upper = 0, n - d
@@ -384,8 +381,8 @@ def _append_zero_column(code):
 def certify_nonexistence(n, k, d):
     """Exhaust the pruned multiplicity space (and the zero-column recursion)
     for an [n, k, >=d] hull-1 code; returns a certificate or a witness."""
-    if k not in (2, 3):
-        raise UnsupportedError("certification supports k in {2, 3}")
+    if k not in (1, 2, 3):
+        raise UnsupportedError("certification supports k <= 3 only")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     examined = 0
@@ -435,25 +432,40 @@ def _planes_hull_dim(lo, hi):
     return len(lo) - len(gf4._eliminate(*gf4._hermitian_gram_planes(lo, hi)))
 
 
-def _search_chunk(n, k, seed, chunk_index, size):
-    """Deterministic per-chunk stream: fresh samples, single-entry mutations
-    of the last [I | A] drawn, and hull-2 shorten moves from length n + 1.
+def random_search(n, k, target_d, seed, budget):
+    """Seeded randomized search for an [n, k] hull-1 code of distance
+    >= target_d.
+
+    One loop over the budget: fresh samples [I | A], single-entry mutations
+    of the last [I | A] drawn, and hull-2 shorten moves from length n + 1,
+    in turn.  Every _RANDOM_CHUNK candidates it starts a new RNG stream,
+    seeded with (seed, chunk index), so the same (seed, budget) always
+    gives the same outcome.  The largest distance wins, ties going to the
+    lexicographically least generator.
 
     Candidates are row planes (lo, hi).  Only the lift moves whose hull test
-    passes, and the candidates whose distance reaches the chunk best (for
+    passes, and the candidates whose distance reaches the running best (for
     the generator bytes of the tie-break), make numpy calls besides the
-    weights.  Returns ((d, key), code) for the best hull-1 candidate, or
-    None.
+    weights.
     """
-    rng = np.random.default_rng([seed, chunk_index])
-    best_d, best = 0, None  # best: ((d, key), generator)
-    current = None  # row planes of the last [I | A]; set at j = 0
-    for j in range(size):
+    if budget < 1:
+        raise ValueError(f"need budget >= 1, got {budget}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
+    if k > DEFAULT_ENUM_CAP:
+        raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
+    best_d, best = 0, None  # best: the bytes of the best hull-1 generator
+    for t in range(budget):
+        j = t % _RANDOM_CHUNK
+        if j == 0:
+            rng = np.random.default_rng([seed, t // _RANDOM_CHUNK])
         mode = j % 3
         planes = None
         if mode == 1:
-            # set one entry of A: its value is drawn first, then its row
-            # and its column
+            # set one entry of A in the last [I | A]: its value is drawn
+            # first, then its row and its column
             value = int(rng.integers(4))
             i = int(rng.integers(k))
             bit = 1 << (k + int(rng.integers(n - k)))
@@ -464,17 +476,16 @@ def _search_chunk(n, k, seed, chunk_index, size):
         elif mode == 2:
             b = rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8)
             if _planes_hull_dim(*_systematic_planes(b)) == 2:
+                # the first hull pivot is an identity coordinate p, so the
+                # shortened code is [I_k | b without row p]
                 lifted = LinearCode(np.hstack([np.eye(k + 1, dtype=np.uint8), b]))
-                pivots = hull_information_set(lifted)
-                if pivots:
-                    shortened = lifted.shorten({pivots[0]})
-                    if shortened.k == k and shortened.n == n:
-                        planes = gf4._row_planes(shortened.generator)
+                shortened = lifted.shorten({hull_information_set(lifted)[0]})
+                planes = gf4._row_planes(shortened.generator)
         if planes is None:
             a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
             planes = current = _systematic_planes(a)
         if min((x0 | x1).bit_count() for x0, x1 in zip(*planes)) < best_d:
-            # a generator row is a codeword lighter than the chunk best
+            # a generator row is a codeword lighter than the running best
             continue
         if _planes_hull_dim(*planes) != 1:
             continue
@@ -482,52 +493,21 @@ def _search_chunk(n, k, seed, chunk_index, size):
         d = int(np.flatnonzero(counts[1:])[0]) + 1
         if d < best_d:
             continue
-        gen = gf4._planes_matrix(*planes, n)
-        key = (d, gen.tobytes().translate(_NEG))
-        if best is None or key > best[0]:
-            best_d, best = d, (key, gen)
-    if best is None:
-        return None
-    key, gen = best
-    return key, LinearCode(gen)
-
-
-def random_search(n, k, target_d, seed, budget):
-    """Seeded randomized search for an [n, k] hull-1 code of distance
-    >= target_d.
-
-    The budget is split into chunks of _RANDOM_CHUNK candidates, run one
-    after another; each chunk draws from its own RNG stream seeded with
-    (seed, chunk index).  The best chunk result wins, ties going to the
-    lexicographically least generator, so the same (seed, budget) always
-    gives the same outcome.
-    """
-    if budget < 1:
-        raise ValueError(f"need budget >= 1, got {budget}")
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-    if k > DEFAULT_ENUM_CAP:
-        raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
-    best = None
-    for index, offset in enumerate(range(0, budget, _RANDOM_CHUNK)):
-        res = _search_chunk(n, k, seed, index, min(_RANDOM_CHUNK, budget - offset))
-        if res is not None and (best is None or res[0] > best[0]):
-            best = res
+        gen = gf4._planes_matrix(*planes, n).tobytes()
+        if d > best_d or gen < best:
+            best_d, best = d, gen
     if best is None:
         return SearchOutcome(0, None, exhaustive=False, explored=budget)
-    (d, _), found = best
-    # a fresh object: nothing the chunk computed or cached is reused
-    code = LinearCode(found.generator)
+    # a fresh object: nothing the loop computed is reused
+    code = LinearCode(np.frombuffer(best, dtype=np.uint8).reshape(k, n))
     dim = hull_dim(code)
     if dim != 1:
         raise AssertionError(f"randomized witness has hull dimension {dim}")
     actual = code.min_distance()
-    if actual != d:
+    if actual != best_d:
         raise AssertionError(
-            f"randomized witness has distance {actual}, chunk reported {d}"
+            f"randomized witness has distance {actual}, search reported {best_d}"
         )
-    if d < target_d:
-        return SearchOutcome(d, None, exhaustive=False, explored=budget)
-    return SearchOutcome(d, code, exhaustive=False, explored=budget)
+    if best_d < target_d:
+        return SearchOutcome(best_d, None, exhaustive=False, explored=budget)
+    return SearchOutcome(best_d, code, exhaustive=False, explored=budget)

@@ -220,11 +220,22 @@ def test_search_accepts_target_d_equal_to_n(capsys):
     ("10", "2", "9", "Griesmer bound; 0 multiplicity vectors examined"),
     ("16", "3", "12", "exhaustive; 8733 multiplicity vectors examined, "
                       "per-column bounds (0, 1)"),
+    # at k = 1 the single vector (n) has an odd Gram entry for odd n
+    ("7", "1", "7", "exhaustive; 1 multiplicity vectors examined, "
+                    "per-column bounds (0, 7)"),
 ])
 def test_search_certificate_lines(capsys, n, k, target, reason):
     status, captured = run(capsys, "search", n, k, "--target-d", target)
     assert status == 0
     assert captured.out == f"no [{n},{k},>={target}] hull-1 code exists ({reason})\n"
+
+
+def test_search_k1_target_d_witness(capsys):
+    # k = 1 with --target-d certifies like k = 2, 3 instead of ignoring the
+    # flag: the [6,1,6] all-ones code lifted by a zero column
+    status, captured = run(capsys, "search", "7", "1", "--target-d", "6")
+    assert status == 0
+    assert captured.out == "witness found (exhaustive), d = 6\n7 1\n1 1 1 1 1 1 0\n"
 
 
 @pytest.mark.parametrize("cap", ["-1", "15", "20"])

@@ -14,7 +14,7 @@ import hullforge
 from conftest import oracle_enumerate_multiplicities, oracle_row_planes
 from hullforge import gf4, search
 from hullforge.bounds import dh_closed_form, griesmer_max_d, table5_lookup
-from hullforge.code import LinearCode, WeightDistribution
+from hullforge.code import LinearCode
 from hullforge.construct import (
     MultiplicityVector,
     code_from_multiplicity,
@@ -102,9 +102,13 @@ def test_weight_lanes_do_not_overflow_at_large_n():
     # raising every multiplicity by an even s keeps the Gram parity and adds
     # 16s to every weight, so the DFS at (21s + 16, 3, 16s + 12) is the one
     # at (16, 3, 12) shifted by s
-    s = 4096
-    shifted = _enumerate_multiplicities(21 * s + 16, 3, 16 * s + 12)
-    assert shifted == _enumerate_multiplicities(16, 3, 12) == (None, 8733)
+    assert _enumerate_multiplicities(16, 3, 12) == (None, 8733)
+    # from s of about 2^50 on, a float ceiling in the column bound gave the
+    # upper end s, or below s, and so 0 vectors examined
+    for s in (4096, 2**50 + 2, 2**54 + 2):
+        n, d = 21 * s + 16, 16 * s + 12
+        assert multiplicity_bounds(n, 3, d) == (s, s + 1)
+        assert _enumerate_multiplicities(n, 3, d) == (None, 8733)
     # far below the best distance every prune sum is about 16n, which a
     # lane width fixed for small n carries into the next lane
     m, examined = _enumerate_multiplicities(2500, 3, 1)
@@ -292,7 +296,7 @@ def test_certify_nonexistence_zero_column_lift():
 
 def test_certify_rejects_wrong_k():
     with pytest.raises(UnsupportedError):
-        certify_nonexistence(8, 1, 2)
+        certify_nonexistence(8, 4, 2)
 
 
 def test_verify_multiplicity_witness_rejects_wrong_hull():
@@ -309,35 +313,72 @@ def test_verify_multiplicity_witness_rejects_overclaimed_distance():
         _verify_multiplicity_witness(2, m, 6)
 
 
+def _shift_minimum_up(counts):
+    # move A_d to A_{d+1}, d the least nonzero weight: the total stays 4^k
+    counts = counts.copy()
+    d = int(np.flatnonzero(counts[1:])[0]) + 1
+    counts[d + 1] += counts[d]
+    counts[d] = 0
+    return counts
+
+
 def test_random_search_rejects_forged_chunk_distance(monkeypatch):
-    real = search._search_chunk
+    # one candidate, the first to reach the best distance, reports one more
+    # and so wins; the re-check enumerates through `code._plane_weights`,
+    # which the patch leaves alone
+    best_d = random_search(8, 4, 1, seed=0, budget=64).best_d
+    real = search._plane_weights
+    forged = []
 
-    def forged(*args):
-        (d, tie), code = real(*args)
-        return (d + 1, tie), code
+    def forge(*args):
+        counts = real(*args)
+        if not forged and int(np.flatnonzero(counts[1:])[0]) + 1 == best_d:
+            forged.append(True)
+            return _shift_minimum_up(counts)
+        return counts
 
-    monkeypatch.setattr(search, "_search_chunk", forged)
-    with pytest.raises(AssertionError, match="chunk reported"):
+    monkeypatch.setattr(search, "_plane_weights", forge)
+    with pytest.raises(AssertionError, match="reported"):
         random_search(8, 4, 1, seed=0, budget=64)
+    assert forged
 
 
 def test_random_search_recomputes_witness_distance(monkeypatch):
-    # the chunk overclaims d, and its code object carries weights that agree
-    # with the claim, so only a fresh enumeration can catch the forgery
-    real = search._search_chunk
+    # every candidate overclaims its distance, over more than two RNG
+    # streams, so the inflated running best carries across them and only a
+    # fresh enumeration can catch the forgery
+    real = search._plane_weights
+    monkeypatch.setattr(search, "_plane_weights",
+                        lambda *args: _shift_minimum_up(real(*args)))
+    with pytest.raises(AssertionError, match="reported"):
+        random_search(8, 4, 1, seed=0, budget=2 * search._RANDOM_CHUNK + 100)
 
-    def forged(*args):
-        (d, tie), code = real(*args)
-        counts = list(code.weight_distribution().counts)
-        counts[d + 1] += counts[d]
-        counts[d] = 0
-        code._weights = WeightDistribution(counts)
-        assert code.min_distance() == d + 1
-        return (d + 1, tie), code
 
-    monkeypatch.setattr(search, "_search_chunk", forged)
-    with pytest.raises(AssertionError, match="chunk reported"):
-        random_search(8, 4, 1, seed=0, budget=64)
+def test_random_search_guard_survives_optimisation():
+    # `python -O` drops assert statements; the re-check must still raise
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hullforge import search\n"
+        "real = search._plane_weights\n"
+        "def forge(*args):\n"
+        "    counts = real(*args)\n"
+        "    d = int(np.flatnonzero(counts[1:])[0]) + 1\n"
+        "    counts[d + 1] += counts[d]\n"
+        "    counts[d] = 0\n"
+        "    return counts\n"
+        "search._plane_weights = forge\n"
+        "try:\n"
+        "    search.random_search(8, 4, 1, seed=0, budget=64)\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, 'reported' in str(exc))\n"
+    )
+    src = str(Path(hullforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "1 True\n"), done.stderr
 
 
 @pytest.mark.parametrize("n, k, budget, message", [
