@@ -22,7 +22,7 @@ from hullforge.bounds import table5_cells, table5_lookup
 from hullforge.code import LinearCode
 from hullforge.construct import even_length_check_matrix, fixture, fixture_names
 from hullforge.hull import hull_dim
-from hullforge.search import _append_zero_column, exhaustive_dh, random_search
+from hullforge.search import _pad, exhaustive_dh, random_search
 
 OUT = Path(__file__).resolve().parents[1] / "src/hullforge/data/witnesses"
 
@@ -61,7 +61,7 @@ def attempt(n, k):
             return LinearCode.from_generator(gf4.kernel(gf4.CONJ[h]))
         prev = load_stored(n - 1, k)
         if prev is not None:
-            return _append_zero_column(prev)
+            return _pad(prev, n)
     # fixtures transcribed from explicit matrices
     for name in fixture_names():
         fx = fixture(name)
@@ -73,7 +73,7 @@ def attempt(n, k):
     if n - 1 >= k + 1 and table5_lookup(n - 1, k) == d:
         prev = load_stored(n - 1, k)
         if prev is not None:
-            return _append_zero_column(prev)
+            return _pad(prev, n)
     # the dual of a stored cell has the right dimension and hull; check d
     partner = load_stored(n, n - k)
     if partner is not None:

@@ -7,12 +7,15 @@ follows from the exact MacWilliams transform (`macwilliams`); the Hermitian
 dual is the conjugate of the Euclidean dual, so both duals have the same
 weights.  Generators are uint8 arrays holding one symbol per byte, kept in
 RREF so equality checks and serialization are deterministic; column order is
-never changed.  The enumeration takes the rows as two bit planes of Python
-ints (`gf4._row_planes`), spreads their multiples over uint64 words and
-takes each weight as popcount(p0 | p1), visiting one message per scalar
-class {c * x : c in GF(4)*} outside the expanded block (c * x has the weight
-of x); the randomized search feeds its packed candidates to the same
-routine (`_plane_weights`).
+never changed.  One step turns rows into a code, `_row_space`: the RREF
+without its zero rows, the zero code when none is left; `from_generator`,
+`hermitian_dual`, `puncture` and `shorten` all end in it.  The enumeration
+takes the rows as two bit planes of Python ints (`gf4._row_planes`),
+spreads their multiples over uint64 words and takes each weight as
+popcount(p0 | p1), visiting one message per scalar class
+{c * x : c in GF(4)*} outside the expanded block (c * x has the weight of
+x); the randomized search feeds its packed candidates to the same routine
+(`_plane_weights`).
 """
 
 import numpy as np
@@ -82,11 +85,10 @@ class LinearCode:
     @classmethod
     def from_generator(cls, g):
         """Build a code from any generator matrix; dependent rows are dropped."""
-        g = gf4.as_matrix(g)
-        r, pivots = gf4.rref(g)
-        if not pivots:
+        code = _row_space(gf4.as_matrix(g))
+        if code.k == 0:
             raise ZeroMatrixError("generator matrix has rank 0")
-        return cls(r[: len(pivots)])
+        return code
 
     @classmethod
     def zero(cls, n):
@@ -145,21 +147,13 @@ class LinearCode:
 
     def hermitian_dual(self):
         """The [n, n-k] Hermitian dual; the zero code when k = n."""
-        ker = gf4.kernel(self.generator)
-        if ker.shape[0] == 0:
-            return LinearCode.zero(self.n)
-        dual_gen = gf4.CONJ[ker]
-        return LinearCode.from_generator(dual_gen)
+        return _row_space(gf4.CONJ[gf4.kernel(self.generator)])
 
     def puncture(self, coords):
         """Delete the given (0-based) coordinates from every codeword."""
         coords = _check_coords(coords, self.n)
         keep = [c for c in range(self.n) if c not in coords]
-        g = self.generator[:, keep]
-        r, pivots = gf4.rref(g)
-        if not pivots:
-            return LinearCode.zero(len(keep))
-        return LinearCode(r[: len(pivots)])
+        return _row_space(self.generator[:, keep])
 
     def shorten(self, coords):
         """The subcode vanishing on the given coordinates, punctured there.
@@ -172,15 +166,8 @@ class LinearCode:
             return self
         sel = self.generator[:, sorted(coords)]
         msgs = gf4.kernel(sel.T)  # x with x . G_S = 0
-        if msgs.shape[0] == 0:
-            return LinearCode.zero(self.n - len(coords))
-        sub = gf4.matmul(msgs, self.generator)
         keep = [c for c in range(self.n) if c not in coords]
-        g = sub[:, keep]
-        r, pivots = gf4.rref(g)
-        if not pivots:
-            return LinearCode.zero(len(keep))
-        return LinearCode(r[: len(pivots)])
+        return _row_space(gf4.matmul(msgs, self.generator)[:, keep])
 
     def contains(self, vector):
         v = np.asarray(vector, dtype=np.uint8).reshape(1, -1)
@@ -304,6 +291,14 @@ def _plane_span(multiples):
             2, scaled.shape[1], -1
         )
     return words
+
+
+def _row_space(g):
+    """The code spanned by the rows of a uint8 matrix g, of length
+    g.shape[1]: its RREF without the zero rows, the zero code for k = 0.
+    The one step that turns rows into a `LinearCode`."""
+    r, pivots = gf4.rref(g)
+    return LinearCode(r[: len(pivots)], n=g.shape[1])
 
 
 def _check_coords(coords, n):

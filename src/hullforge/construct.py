@@ -85,20 +85,17 @@ class MultiplicityVector:
 
 def multiplicity_generator(mv: MultiplicityVector):
     """G_k(m): m_i copies of column h_{k,i}, in simplex column order."""
-    s = simplex_matrix(mv.k)
-    cols = []
-    for i, mult in enumerate(mv.m):
-        cols.extend([s[:, i]] * mult)
-    if not cols:
+    g = np.repeat(simplex_matrix(mv.k), mv.m, axis=1)
+    if not g.size:
         raise RankDeficientError("empty multiplicity vector")
-    return np.column_stack(cols)
+    return g
 
 
 def code_from_multiplicity(mv: MultiplicityVector) -> LinearCode:
-    g = multiplicity_generator(mv)
-    if gf4.rank(g) < mv.k:
+    code = LinearCode.from_generator(multiplicity_generator(mv))
+    if code.k < mv.k:
         raise RankDeficientError("selected columns do not span the message space")
-    return LinearCode.from_generator(g)
+    return code
 
 
 def extend_simplex(c: LinearCode, s: int) -> LinearCode:
@@ -148,14 +145,7 @@ def remove_scalar_pair(c: LinearCode):
 
 
 def _proportional(u, v):
-    if not u.any() and not v.any():
-        return True
-    if u.any() != v.any():
-        return False
-    for a in (1, 2, 3):
-        if np.array_equal(gf4.scale_row(a, u), v):
-            return True
-    return False
+    return any(np.array_equal(gf4.scale_row(a, u), v) for a in (1, 2, 3))
 
 
 # -- parameterized witnesses -----------------------------------------------

@@ -85,20 +85,13 @@ def table6_cells():
 
 
 def table6_entry(n, k):
-    """(d, c) for the n <= 12 EAQECC table, recomputed from the stored
-    hull-1 witness of the underlying quaternary [n, k+1] code and
-    cross-checked against the literal table."""
+    """(d, c) for the n <= 12 EAQECC table, derived from the stored hull-1
+    witness of the underlying quaternary [n, k+1] code; callers compare it
+    with the literal table of `table6_cells`."""
     if n not in _TABLE6 or not 0 <= k < len(_TABLE6[n]):
         raise OutOfRangeError(f"no EAQECC table cell for (n={n}, k={k})")
-    code = witnesses.witness(n, k + 1)
-    first, _ = derive_pair(code)
-    derived = (first.d, first.c)
-    if derived != _TABLE6[n][k]:
-        raise AssertionError(
-            f"witness-derived {derived} disagrees with the stored table "
-            f"value {_TABLE6[n][k]} at (n={n}, k={k})"
-        )
-    return derived
+    first, _ = derive_pair(witnesses.witness(n, k + 1))
+    return first.d, first.c
 
 
 # Reference parameters of previously known EAQECCs for the k = 2 comparison

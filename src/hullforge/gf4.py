@@ -182,9 +182,7 @@ def kernel(m):
     Row count is cols(M) - rank(M); returns a (0, cols) array for a trivial
     kernel.
     """
-    nrows, ncols = m.shape
-    if ncols == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
+    ncols = m.shape[1]
     r, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=np.uint8)

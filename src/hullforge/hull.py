@@ -32,7 +32,7 @@ def hull_report(c: LinearCode) -> HullReport:
     ker = gf4.kernel(gram)
     dim = ker.shape[0]
     # hull vectors are conj(u) . G for u in the Gram kernel
-    basis = gf4.matmul(gf4.CONJ[ker], c.generator) if dim else np.zeros((0, c.n), np.uint8)
+    basis = gf4.matmul(gf4.CONJ[ker], c.generator)
     if dim == 0:
         cls = HullClass.LCD
     elif dim == c.k:

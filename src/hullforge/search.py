@@ -369,13 +369,14 @@ def _exhaustive_length(n, k, shorter):
             break
     if shorter and shorter.best_d > best_d:
         best_d = shorter.best_d
-        witness = _append_zero_column(shorter.witness) if shorter.witness else None
+        witness = _pad(shorter.witness, n) if shorter.witness else None
     return SearchOutcome(best_d, witness, exhaustive=True, explored=explored)
 
 
-def _append_zero_column(code):
-    g = np.hstack([code.generator, np.zeros((code.k, 1), dtype=np.uint8)])
-    return LinearCode.from_generator(g)
+def _pad(code, n):
+    """code with zero columns appended up to length n; they keep the RREF."""
+    return LinearCode(np.hstack([code.generator,
+                                 np.zeros((code.k, n - code.n), dtype=np.uint8)]))
 
 
 def certify_nonexistence(n, k, d):
@@ -392,9 +393,7 @@ def certify_nonexistence(n, k, d):
         examined += count
         if m is not None:
             code, _ = _verify_multiplicity_witness(k, m, d)
-            while code.n < n:
-                code = _append_zero_column(code)
-            return CounterexampleFound(n, k, d, code)
+            return CounterexampleFound(n, k, d, _pad(code, n))
         length_n -= 1
     bounds = multiplicity_bounds(n, k, d) if griesmer_max_d(n, k) >= d else None
     return NonexistenceCertificate(n, k, d, bounds, examined)
@@ -476,11 +475,11 @@ def random_search(n, k, target_d, seed, budget):
         elif mode == 2:
             b = rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8)
             if _planes_hull_dim(*_systematic_planes(b)) == 2:
-                # the first hull pivot is an identity coordinate p, so the
-                # shortened code is [I_k | b without row p]
+                # the first hull pivot is an identity coordinate p, and
+                # shortening [I | b] there gives [I_k | b without row p]
                 lifted = LinearCode(np.hstack([np.eye(k + 1, dtype=np.uint8), b]))
-                shortened = lifted.shorten({hull_information_set(lifted)[0]})
-                planes = gf4._row_planes(shortened.generator)
+                p = hull_information_set(lifted)[0]
+                planes = _systematic_planes(np.delete(b, p, axis=0))
         if planes is None:
             a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
             planes = current = _systematic_planes(a)

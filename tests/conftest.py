@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hullforge
 from hullforge import gf4, search
 from hullforge.code import LinearCode
 
@@ -191,6 +196,16 @@ def oracle_enumerate_multiplicities(n, k, d):
     if prune[0] & high == high:
         recurse(0, n, 0, 0)
     return witness, examined
+
+
+def run_optimised(script):
+    """Run a Python script under `python -O`, which drops assert statements,
+    with this checkout's package first on the path."""
+    src = str(Path(hullforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def random_code(rng, n, k):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hullforge import matfmt
+from hullforge import eaqecc, matfmt
 from hullforge.cli import main
 from hullforge.code import LinearCode
 from hullforge.construct import fixture, simplex_matrix
@@ -165,6 +165,21 @@ def test_search_randomized(capsys):
     assert "randomized: witness with d = 4" in captured.out
 
 
+def test_search_randomized_no_witness_line(capsys):
+    status, captured = run(capsys, "search", "8", "4", "--target-d", "7",
+                           "--seed", "0", "--budget", "64")
+    assert status == 0
+    assert captured.out == ("no witness with d >= 7 found (randomized, explored "
+                            "64, best hull-1 distance seen: 4)\n")
+
+
+def test_search_rejects_length_one(capsys):
+    status, captured = run(capsys, "search", "1", "1")
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: need n >= 2 and 1 <= k < n\n"
+
+
 def test_search_rejects_other_hull_dims(capsys):
     assert main(["search", "8", "2", "--hull", "2"]) == 2
 
@@ -299,3 +314,15 @@ def test_verify_paper_skip_table6(capsys):
     status, captured = run(capsys, "verify-paper", "--skip-table6")
     assert status == 0
     assert "EAQECC table" not in captured.out
+
+
+def test_verify_paper_reports_table6_mismatch(capsys, monkeypatch):
+    # the source prints [3;3] at (10, 6), where the stored witness gives c = 2
+    row = list(eaqecc._TABLE6[10])
+    row[6] = (3, 3)
+    monkeypatch.setitem(eaqecc._TABLE6, 10, row)
+    status, captured = run(capsys, "verify-paper")
+    assert status == 1
+    assert any(line.startswith("[FAIL] EAQECC table")
+               for line in captured.out.splitlines())
+    assert captured.out.endswith("verification FAILED\n")

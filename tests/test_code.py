@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import hullforge
 from conftest import (
     ORACLE_MUL,
     oracle_min_distance,
@@ -14,6 +8,7 @@ from conftest import (
     oracle_rref,
     oracle_weights,
     random_code,
+    run_optimised,
 )
 from hullforge import gf4, witnesses
 from hullforge.bounds import griesmer_holds
@@ -182,6 +177,11 @@ def test_puncture_zero_column():
     assert p.min_distance() == c.min_distance()
 
 
+def test_puncture_to_zero_code():
+    p = LinearCode.from_generator([[1, 0, 0]]).puncture({0})
+    assert (p.n, p.k) == (2, 0)
+
+
 def test_puncture_repetition():
     p = repetition(2).puncture({1})
     assert (p.n, p.k, p.min_distance()) == (1, 1, 1)
@@ -319,11 +319,7 @@ def test_macwilliams_guard_survives_optimisation():
         "    sys.exit(f'accepted {counts}')\n"
         "print(sys.flags.optimize)\n"
     )
-    src = str(Path(hullforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_optimised(script)
     assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
 
 

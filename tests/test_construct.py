@@ -151,6 +151,20 @@ def test_remove_scalar_pair_none_when_absent():
     assert remove_scalar_pair(simplex(2)) is None
 
 
+def test_remove_scalar_pair_two_zero_columns():
+    # two zero columns are proportional, so the pair is removed
+    g = gf4.as_matrix([[1, 0, 0, 1, 0], [0, 1, 0, 1, 0]])
+    smaller = remove_scalar_pair(LinearCode.from_generator(g))
+    assert smaller is not None
+    assert np.array_equal(smaller.generator, g[:, [0, 1, 3]])
+
+
+def test_remove_scalar_pair_single_zero_column():
+    # a zero column is proportional to no nonzero column
+    g = gf4.as_matrix([[1, 0, 0, 1], [0, 1, 0, 1]])
+    assert remove_scalar_pair(LinearCode.from_generator(g)) is None
+
+
 def test_remove_scalar_pair_preserves_hull(rng):
     for _ in range(30):
         g = rng.integers(0, 4, size=(3, 6), dtype=np.uint8)

@@ -85,6 +85,9 @@ def test_kernel_examples():
     k = gf4.kernel(gf4.as_matrix([[1, 1]]))
     assert k.shape == (1, 2)
     assert k[0, 0] == k[0, 1] != 0
+    for shape in [(3, 0), (0, 0)]:
+        ker = gf4.kernel(np.zeros(shape, dtype=np.uint8))
+        assert ker.shape == (0, 0) and ker.dtype == np.uint8
 
 
 @settings(max_examples=60)

@@ -1,17 +1,16 @@
 import gc
 import hashlib
-import os
-import subprocess
-import sys
 import tracemalloc
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hullforge
-from conftest import oracle_enumerate_multiplicities, oracle_row_planes
+from conftest import (
+    oracle_enumerate_multiplicities,
+    oracle_row_planes,
+    run_optimised,
+)
 from hullforge import gf4, search
 from hullforge.bounds import dh_closed_form, griesmer_max_d, table5_lookup
 from hullforge.code import LinearCode
@@ -278,11 +277,7 @@ def test_certification_guard_survives_optimisation():
         "except ValueError:\n"
         "    print(sys.flags.optimize)\n"
     )
-    src = str(Path(hullforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_optimised(script)
     assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
 
 
@@ -373,11 +368,7 @@ def test_random_search_guard_survives_optimisation():
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, 'reported' in str(exc))\n"
     )
-    src = str(Path(hullforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_optimised(script)
     assert (done.returncode, done.stdout) == (0, "1 True\n"), done.stderr
 
 
