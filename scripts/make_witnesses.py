@@ -5,8 +5,9 @@ Idempotent: existing verified files are kept.  Cells are filled by explicit
 constructions where available, by exhaustive search for k <= 3, by duals and
 zero-column padding of already-stored cells, and by the library's seeded
 `random_search` for the remaining middle dimensions.  Cells still missing
-after two such passes go to simulated annealing.  Every seed is fixed, so a
-run into an empty directory reproduces the stored corpus byte for byte:
+after two such passes go to simulated annealing, scored on the search's
+packed kernels.  Every seed is fixed, so a run into an empty directory
+reproduces the stored corpus byte for byte:
 
     python scripts/make_witnesses.py
 """
@@ -19,10 +20,11 @@ import numpy as np
 
 from hullforge import gf4, matfmt
 from hullforge.bounds import table5_cells, table5_lookup
-from hullforge.code import LinearCode
+from hullforge.code import LinearCode, _plane_weights
 from hullforge.construct import even_length_check_matrix, fixture, fixture_names
 from hullforge.hull import hull_dim
-from hullforge.search import _pad, exhaustive_dh, random_search
+from hullforge.search import (_pad, _planes_hull_dim, _systematic_planes,
+                              exhaustive_dh, random_search)
 
 OUT = Path(__file__).resolve().parents[1] / "src/hullforge/data/witnesses"
 
@@ -84,40 +86,36 @@ def attempt(n, k):
     return random_search(n, k, d, seed=1000 * n + k, budget=20_000).witness
 
 
-def cost(g, n, k, d):
-    code = LinearCode.from_generator(g)
-    if code.k != k:
-        return np.inf
-    wd = code.weight_distribution()
-    low = sum(wd.counts[w] * 4 ** (d - w) for w in range(1, d))
-    hull = hull_dim(code)
-    return low + 3 * 4 ** (d - 1) * abs(hull - 1)
+def cost(a, n, d):
+    """Weighted count of the nonzero codewords of [I | a] below d plus a
+    penalty for hull dimension != 1, in Python ints."""
+    planes = _systematic_planes(a)
+    counts = _plane_weights(*planes, n).tolist()
+    low = sum(counts[w] * 4 ** (d - w) for w in range(1, d))
+    return low + 3 * 4 ** (d - 1) * abs(_planes_hull_dim(*planes) - 1)
 
 
 def anneal(n, k, d, seed):
-    """Simulated annealing on [I | A] by single-entry changes.
-
-    Cost = weighted count of nonzero codewords below d plus a penalty for
-    hull dimension != 1; the first state of cost 0 is returned.
-    """
+    """Simulated annealing on [I | A] by single-entry changes of A; the
+    first state of cost 0 is returned."""
     steps, t0, t1 = 60_000, 6.0, 0.02  # steps, start and end temperature
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
-    g = np.hstack([np.eye(k, dtype=np.uint8), a])
-    cur = cost(g, n, k, d)
+    cur = cost(a, n, d)
     for step in range(steps):
         if cur == 0:
-            return LinearCode.from_generator(g)
+            # [I | A] is already in RREF
+            return LinearCode(np.hstack([np.eye(k, dtype=np.uint8), a]))
         temp = t0 * (t1 / t0) ** (step / steps)
         i = int(rng.integers(k))
-        j = int(rng.integers(k, n))
-        old = g[i, j]
-        g[i, j] = (old + 1 + rng.integers(3)) % 4
-        nxt = cost(g, n, k, d)
+        j = int(rng.integers(k, n)) - k
+        old = a[i, j]
+        a[i, j] = (old + 1 + rng.integers(3)) % 4
+        nxt = cost(a, n, d)
         if nxt <= cur or rng.random() < np.exp((cur - nxt) / (temp * 4 ** (d - 3))):
             cur = nxt
         else:
-            g[i, j] = old
+            a[i, j] = old
     return None
 
 

@@ -70,13 +70,8 @@ class WeightDistribution:
 class LinearCode:
     """An [n, k] code over GF(4), fixed by a full-row-rank generator in RREF."""
 
-    def __init__(self, generator, n=None):
-        if generator.size == 0:
-            if n is None:
-                raise ValueError("length required for the zero code")
-            self.generator = np.zeros((0, n), dtype=np.uint8)
-        else:
-            self.generator = np.asarray(generator, dtype=np.uint8)
+    def __init__(self, generator):
+        self.generator = np.asarray(generator, dtype=np.uint8)
         self.generator.setflags(write=False)
         self.k, self.n = self.generator.shape
         self._weights = None
@@ -93,7 +88,7 @@ class LinearCode:
     @classmethod
     def zero(cls, n):
         """The degenerate k = 0 code of length n."""
-        return cls(np.zeros((0, n), dtype=np.uint8), n=n)
+        return cls(np.zeros((0, n), dtype=np.uint8))
 
     # -- weight data -------------------------------------------------------
 
@@ -129,10 +124,6 @@ class LinearCode:
         return self.weight_distribution(cap).min_nonzero_weight()
 
     def _count_weights(self):
-        if self.k == 0:
-            counts = np.zeros(self.n + 1, dtype=np.int64)
-            counts[0] = 1
-            return counts
         return _plane_weights(*gf4._row_planes(self.generator), self.n)
 
     def codewords(self):
@@ -162,8 +153,6 @@ class LinearCode:
         for any k.
         """
         coords = _check_coords(coords, self.n)
-        if not coords:
-            return self
         sel = self.generator[:, sorted(coords)]
         msgs = gf4.kernel(sel.T)  # x with x . G_S = 0
         keep = [c for c in range(self.n) if c not in coords]
@@ -234,7 +223,7 @@ def _span(rows, n):
 
 
 def _plane_weights(lo, hi, n):
-    """Weight counts A_0..A_n of the span of r >= 1 rows given as row planes
+    """Weight counts A_0..A_n of the span of r >= 0 rows given as row planes
     (lo, hi), with column j at bit j as in `gf4._row_planes`.
 
     The last min(r, _BLOCK_K) rows span one packed block; the first s rows
@@ -267,9 +256,9 @@ def _plane_weights(lo, hi, n):
 
 def _plane_multiples(lo, hi, n):
     """The multiples 0, 1, w, W of each row given as row planes (lo, hi): a
-    (r, 2, W, 4) uint64 array, W = ceil(n / 64), with column j at bit j mod
-    64 of word j // 64."""
-    shifts = range(0, n, 64)
+    (r, 2, W, 4) uint64 array, W = max(1, ceil(n / 64)), with column j at
+    bit j mod 64 of word j // 64; at n = 0 the one word is empty."""
+    shifts = range(0, max(n, 1), 64)
     flat = []
     for a0, a1 in zip(lo, hi):
         a2 = a0 ^ a1
@@ -298,7 +287,7 @@ def _row_space(g):
     g.shape[1]: its RREF without the zero rows, the zero code for k = 0.
     The one step that turns rows into a `LinearCode`."""
     r, pivots = gf4.rref(g)
-    return LinearCode(r[: len(pivots)], n=g.shape[1])
+    return LinearCode(r[: len(pivots)])
 
 
 def _check_coords(coords, n):

@@ -105,8 +105,6 @@ def extend_simplex(c: LinearCode, s: int) -> LinearCode:
         raise DimensionTooSmallError("simplex padding needs k >= 2")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s == 0:
-        return c
     blocks = [simplex_matrix(c.k)] * s + [c.generator]
     return LinearCode.from_generator(np.hstack(blocks))
 

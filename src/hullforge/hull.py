@@ -48,25 +48,17 @@ def hull_dim(c: LinearCode) -> int:
 
 def is_even(c: LinearCode) -> bool:
     """True iff every codeword has even Hamming weight (<=> Hermitian SO)."""
-    if c.k == 0:
-        return True
     wd = c.weight_distribution()
     return all(ct == 0 for w, ct in enumerate(wd.counts) if w % 2 == 1)
 
 
 def hull_information_set(c: LinearCode):
     """Pivot columns of the hull basis in RREF."""
-    rep = hull_report(c)
-    if rep.hull_dim == 0:
-        return []
-    _, pivots = gf4.rref(rep.hull_basis)
+    _, pivots = gf4.rref(hull_report(c).hull_basis)
     return pivots
 
 
 def hull_of_shortening(c: LinearCode, coords):
     """(hull dim of the punctured code, hull dim of the shortened code)."""
     coords = set(coords)
-    if not coords:
-        d = hull_dim(c)
-        return d, d
     return hull_dim(c.puncture(coords)), hull_dim(c.shorten(coords))

@@ -16,16 +16,18 @@ every _RANDOM_CHUNK candidates, so a seed and a budget fix every emitted
 value.  It never claims exhaustiveness.
 Candidates are evaluated on packed row planes, two Python ints per row as
 in `gf4._eliminate`: the hull test is the rank of a Gram matrix built by
-popcount parity, and weights come from the shared `code._plane_weights`,
-with no numpy matrix per rejected candidate.  The accepted witness is then
-re-verified on the independent numpy path (`hull.hull_dim` over
-`gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
+popcount parity, a hull-2 lift reads its coordinate off the same reduced
+Gram, and weights come from the shared `code._plane_weights`, with no
+`LinearCode` per candidate.  The accepted witness is then re-verified on
+the independent numpy path (`hull.hull_dim` over `gf4.hermitian_gram`,
+and the weights of a fresh `LinearCode`).
 
 Both engines re-check their witness with explicit raises, so the checks
 survive `python -O`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .construct import (
     simplex_matrix,
 )
 from .exceptions import UnsupportedError
-from .hull import hull_dim, hull_information_set
+from .hull import hull_dim
 
 _RANDOM_CHUNK = 1024
 # most rows, width**span, in one settled-subtree table of the k <= 3 DFS
@@ -118,13 +120,9 @@ class _ProjectiveGeometry:
         return len(gf4._eliminate(rows[:k], rows[k:]))
 
 
-_GEOMETRY = {}
-
-
+@lru_cache(maxsize=None)
 def _geometry(k):
-    if k not in _GEOMETRY:
-        _GEOMETRY[k] = _ProjectiveGeometry(k)
-    return _GEOMETRY[k]
+    return _ProjectiveGeometry(k)
 
 
 def multiplicity_bounds(n, k, d):
@@ -369,7 +367,7 @@ def _exhaustive_length(n, k, shorter):
             break
     if shorter and shorter.best_d > best_d:
         best_d = shorter.best_d
-        witness = _pad(shorter.witness, n) if shorter.witness else None
+        witness = _pad(shorter.witness, n)
     return SearchOutcome(best_d, witness, exhaustive=True, explored=explored)
 
 
@@ -431,6 +429,22 @@ def _planes_hull_dim(lo, hi):
     return len(lo) - len(gf4._eliminate(*gf4._hermitian_gram_planes(lo, hi)))
 
 
+def _hull_lift(b):
+    """Row planes of [I_k | b without row p], which is [I | b] (k + 1 rows)
+    shortened on its first hull pivot p, when [I | b] has hull dimension 2;
+    None otherwise."""
+    glo, ghi = gf4._hermitian_gram_planes(*_systematic_planes(b))
+    if len(glo) - len(gf4._eliminate(glo, ghi)) != 2:
+        return None
+    # hull vectors are conj(u) . [I | b] for u in the Gram kernel, so p is
+    # the least c on which some kernel vector is nonzero: the least c whose
+    # unit vector is outside the Gram's row space, and in RREF a unit
+    # vector is in the row space exactly when it is a row
+    rows = set(zip(glo, ghi))
+    p = next(c for c in range(len(glo)) if (1 << c, 0) not in rows)
+    return _systematic_planes(np.delete(b, p, axis=0))
+
+
 def random_search(n, k, target_d, seed, budget):
     """Seeded randomized search for an [n, k] hull-1 code of distance
     >= target_d.
@@ -442,10 +456,10 @@ def random_search(n, k, target_d, seed, budget):
     gives the same outcome.  The largest distance wins, ties going to the
     lexicographically least generator.
 
-    Candidates are row planes (lo, hi).  Only the lift moves whose hull test
-    passes, and the candidates whose distance reaches the running best (for
-    the generator bytes of the tie-break), make numpy calls besides the
-    weights.
+    Candidates are row planes (lo, hi).  Besides the draws and the weights,
+    only a lift whose hull test passes (one `np.delete`) and a candidate
+    whose distance reaches the running best (the generator bytes of the
+    tie-break) make numpy calls.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -473,13 +487,7 @@ def random_search(n, k, target_d, seed, budget):
             hi[i] = hi[i] | bit if value & 2 else hi[i] & ~bit
             planes = current = lo, hi
         elif mode == 2:
-            b = rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8)
-            if _planes_hull_dim(*_systematic_planes(b)) == 2:
-                # the first hull pivot is an identity coordinate p, and
-                # shortening [I | b] there gives [I_k | b without row p]
-                lifted = LinearCode(np.hstack([np.eye(k + 1, dtype=np.uint8), b]))
-                p = hull_information_set(lifted)[0]
-                planes = _systematic_planes(np.delete(b, p, axis=0))
+            planes = _hull_lift(rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8))
         if planes is None:
             a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
             planes = current = _systematic_planes(a)
@@ -507,6 +515,5 @@ def random_search(n, k, target_d, seed, budget):
         raise AssertionError(
             f"randomized witness has distance {actual}, search reported {best_d}"
         )
-    if best_d < target_d:
-        return SearchOutcome(best_d, None, exhaustive=False, explored=budget)
-    return SearchOutcome(best_d, code, exhaustive=False, explored=budget)
+    return SearchOutcome(best_d, code if best_d >= target_d else None,
+                         exhaustive=False, explored=budget)

@@ -180,6 +180,13 @@ def test_search_rejects_length_one(capsys):
     assert captured.err == "error: need n >= 2 and 1 <= k < n\n"
 
 
+def test_search_rejects_k_above_distance_cap(capsys):
+    status, captured = run(capsys, "search", "20", "15")
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: k=15 exceeds the distance cap 14\n"
+
+
 def test_search_rejects_other_hull_dims(capsys):
     assert main(["search", "8", "2", "--hull", "2"]) == 2
 
@@ -290,6 +297,14 @@ def test_table_matches_reference_everywhere(capsys):
     for r in rows:
         n, k, d = int(r[0]), int(r[1]), int(r[2])
         assert d == table5_lookup(n, k), (n, k)
+
+
+def test_table_leaves_out_cells_without_a_source(capsys):
+    # past n = 12 no stored witness or paper value covers the middle k
+    status, captured = run(capsys, "table", "--max-n", "13")
+    assert status == 0
+    cells = {(int(r[0]), int(r[1])) for r in csv.reader(captured.out.splitlines()[1:])}
+    assert {(13, k) for k in range(1, 13)} - cells == {(13, k) for k in range(4, 10)}
 
 
 def test_table_exhaustive_and_files(tmp_path, capsys):

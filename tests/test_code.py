@@ -164,6 +164,13 @@ def test_dual_of_full_space_is_zero_code():
     assert (dual.n, dual.k) == (3, 0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_zero_code_weights(n):
+    # k = 0 takes the general enumeration, which counts the zero word once
+    wd = LinearCode.zero(n).weight_distribution()
+    assert wd.counts == (1,) + (0,) * n
+
+
 def test_puncture_simplex():
     c = simplex(3).puncture({0})
     assert (c.n, c.k) == (20, 3)

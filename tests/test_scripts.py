@@ -1,9 +1,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hullforge import matfmt
+from hullforge.code import LinearCode
+from hullforge.hull import hull_dim
 from hullforge.search import random_search
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +39,29 @@ def test_random_search_recipe_reproduces_corpus():
     # the seed and budget that make_witnesses.attempt passes for k >= 4
     code = random_search(11, 4, 6, seed=1000 * 11 + 4, budget=20_000).witness
     assert witness_text(code, 11, 4, 6) == stored_text(11, 4, 6)
+
+
+@pytest.mark.parametrize("n, k, d", [(10, 5, 5), (12, 6, 6), (12, 8, 4)])
+def test_anneal_cost_matches_numpy_formula(monkeypatch, n, k, d):
+    # the packed cost against the same formula on a LinearCode, on the
+    # three cells the annealer fills
+    cost = load_script("make_witnesses").cost
+    rng = np.random.default_rng(1000 * n + k)
+    values = set()
+    for _ in range(40):
+        a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
+        a[rng.random(a.shape) < rng.random()] = 0
+        code = LinearCode.from_generator(np.hstack([np.eye(k, dtype=np.uint8), a]))
+        wd = code.weight_distribution()
+        low = sum(wd.counts[w] * 4 ** (d - w) for w in range(1, d))
+        want = low + 3 * 4 ** (d - 1) * abs(hull_dim(code) - 1)
+        with monkeypatch.context() as patch:
+            # the packed cost builds no code
+            patch.setattr(LinearCode, "__init__", None)
+            got = cost(a, n, d)
+        assert type(got) is int and got == want
+        values.add(want)
+    assert len(values) > 10
 
 
 def test_anneal_recipe_reproduces_corpus():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+from collections import Counter
 import tracemalloc
 from itertools import combinations, product
 
@@ -11,7 +12,7 @@ from conftest import (
     oracle_row_planes,
     run_optimised,
 )
-from hullforge import gf4, search
+from hullforge import gf4, hull, search
 from hullforge.bounds import dh_closed_form, griesmer_max_d, table5_lookup
 from hullforge.code import LinearCode
 from hullforge.construct import (
@@ -20,10 +21,11 @@ from hullforge.construct import (
     simplex_matrix,
 )
 from hullforge.exceptions import UnsupportedError
-from hullforge.hull import hull_dim
+from hullforge.hull import hull_dim, hull_information_set
 from hullforge.search import (
     CounterexampleFound,
     NonexistenceCertificate,
+    SearchOutcome,
     _enumerate_multiplicities,
     _verify_multiplicity_witness,
     certify_nonexistence,
@@ -240,6 +242,11 @@ def test_gram_rank_matches_numpy_gram(rng, k):
         assert geo.gram_rank(packed) == gf4.rank(gf4.hermitian_gram(g))
 
 
+def test_exhaustive_rejects_length_below_k():
+    with pytest.raises(ValueError, match="n >= k"):
+        exhaustive_dh(2, 3)
+
+
 def test_exhaustive_rejects_large_k():
     with pytest.raises(UnsupportedError):
         exhaustive_dh(10, 4)
@@ -441,6 +448,55 @@ def test_packed_candidates_match_numpy(rng):
         assert dim == hull_dim(LinearCode(g))
         hull_dims.add(dim)
     assert {0, 1, 2, 3} <= hull_dims
+    # the hull-2 lift against shortening [I | b] on its first hull pivot
+    pivots = []
+    for _ in range(600):
+        k1, m = int(rng.integers(2, 10)), int(rng.integers(1, 41))
+        b = rng.integers(0, 4, size=(k1, m), dtype=np.uint8)
+        b[rng.random(b.shape) < rng.random()] = 0
+        lifted = LinearCode(np.hstack([np.eye(k1, dtype=np.uint8), b]))
+        want = None
+        if hull_dim(lifted) == 2:
+            p = hull_information_set(lifted)[0]
+            want = gf4._row_planes(lifted.shorten({p}).generator)
+            pivots.append(p)
+        assert search._hull_lift(b) == want
+    assert len(pivots) >= 30 and max(pivots) >= 2
+
+
+def test_random_search_without_hull_one_candidate():
+    # three candidates, none of them hull-1
+    assert random_search(5, 4, 1, seed=0, budget=3) == SearchOutcome(0, None, False, 3)
+
+
+def test_random_search_rechecks_witness_hull(monkeypatch):
+    # every candidate passes the packed hull test; the winner's real hull
+    # is checked again on the numpy path
+    monkeypatch.setattr(search, "_planes_hull_dim", lambda lo, hi: 1)
+    with pytest.raises(AssertionError, match="hull dimension"):
+        random_search(8, 4, 1, seed=0, budget=64)
+
+
+def test_random_search_evaluates_candidates_packed(monkeypatch):
+    # no candidate, lifts included, builds a LinearCode or calls the numpy
+    # kernels: only the final re-check does, with one code and the matmul
+    # of its Gram matrix
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("rref", "kernel", "matmul"):
+        count(gf4, name)
+    count(hull, "hull_report")
+    count(LinearCode, "__init__")
+    assert random_search(9, 5, 4, seed=3, budget=2048).witness is not None
+    assert calls == {"__init__": 1, "matmul": 1}
 
 
 def test_random_search_finds_known_cell():
