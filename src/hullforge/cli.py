@@ -1,7 +1,8 @@
 """Command-line surface: analyze matrix files, run searches, regenerate the
 distance table, and verify the fixture corpus and table reproductions.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error or a
+file that cannot be read or written.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from . import bounds, construct, eaqecc, gf4, matfmt, search, witnesses
 from .code import DEFAULT_ENUM_CAP, LinearCode
-from .exceptions import BudgetExceededError, HullforgeError, ParseError
+from .exceptions import BudgetExceededError, HullforgeError
 from .hull import hull_dim, hull_report
 
 EXIT_OK = 0
@@ -110,10 +111,7 @@ def _emit_record(record, fmt, out):
             nz = {w: c for w, c in enumerate(record["weights"]) if c}
             out.write(f"weight distribution: {nz}\n")
         if record["eaqecc"]:
-            pair = ["[[{},{},{};{}]]".format(p[0], p[1],
-                                             "?" if p[2] is None else p[2],
-                                             p[3])
-                    for p in record["eaqecc"]]
+            pair = [str(eaqecc.EaqeccParams(*p)) for p in record["eaqecc"]]
             out.write("EAQECC pair: " + " and ".join(pair) + "\n")
 
 
@@ -122,17 +120,9 @@ def cmd_analyze(args, out):
         # a larger cap would start a 4^cap enumeration
         print(f"error: need 0 <= --cap <= {DEFAULT_ENUM_CAP}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        text = Path(args.path).read_text(encoding="ascii")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        matrix = matfmt.parse(text, digits=args.digits)
-        code = LinearCode.from_generator(matrix)
-    except (ParseError, HullforgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text = Path(args.path).read_text(encoding="ascii")
+    matrix = matfmt.parse(text, digits=args.digits)
+    code = LinearCode.from_generator(matrix)
     record = analysis_record(code, cap=args.cap, with_eaqecc=args.eaqecc)
     _emit_record(record, args.format, out)
     return EXIT_OK
@@ -353,7 +343,7 @@ def main(argv=None):
     }[args.command]
     try:
         status = handler(args, out)
-    except HullforgeError as exc:
+    except (HullforgeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # buffered output, emitted once in deterministic order

@@ -71,7 +71,8 @@ class LinearCode:
     """An [n, k] code over GF(4), fixed by a full-row-rank generator in RREF."""
 
     def __init__(self, generator):
-        self.generator = np.asarray(generator, dtype=np.uint8)
+        # a private copy: freezing it leaves the caller's array writable
+        self.generator = np.array(generator, dtype=np.uint8)
         self.generator.setflags(write=False)
         self.k, self.n = self.generator.shape
         self._weights = None

@@ -2,12 +2,16 @@
 
 A quaternary [n, k, d] code with one-dimensional Hermitian hull yields both
 an [[n, k-1, d; n-k-1]] and an [[n, n-k-1, d_dual; k-1]] binary EAQECC.
+`pair_params` is the only place this formula is written: the n <= 12 table
+(`table6_cells`) applies it to the exact distances of `bounds`, the k = 2
+comparison rows (`table7_comparison`) to the corollary family, and `analyze`
+prints its output through `EaqeccParams.__str__`.
 """
 
 from dataclasses import dataclass
 
 from . import witnesses
-from .bounds import k3_value
+from .bounds import k3_value, table5_cells
 from .code import LinearCode
 from .exceptions import OutOfRangeError, WrongHullDimensionError
 from .hull import hull_dim
@@ -52,60 +56,40 @@ def corollary_family(s, t):
     if not 0 <= t <= 20 or s < 0:
         raise OutOfRangeError("need s >= 0 and 0 <= t <= 20")
     n = 21 * s + t
-    if n < 4:
-        raise OutOfRangeError("family starts at length 4")
     return pair_params(n, 3, k3_value(n).d, None)[0]
 
 
-# [d; c] cells for n <= 12, column index k = (quaternary dimension) - 1,
-# transcribed literally.  The (10, 6) cell is printed as [3;3] in the source
-# table but the derivation from a hull-1 [10, 7, 3] code forces c = 2; the
-# corrected value is stored here and the discrepancy is noted in README.
-_TABLE6 = {
-    2: [(2, 0)],
-    3: [(2, 1), (1, 0)],
-    4: [(4, 2), (3, 1), (2, 0)],
-    5: [(4, 3), (3, 2), (2, 1), (1, 0)],
-    6: [(6, 4), (4, 3), (3, 2), (2, 1), (2, 0)],
-    7: [(6, 5), (5, 4), (4, 3), (3, 2), (2, 1), (1, 0)],
-    8: [(8, 6), (5, 5), (5, 4), (4, 3), (3, 2), (2, 1), (2, 0)],
-    9: [(8, 7), (7, 6), (6, 5), (5, 4), (4, 3), (3, 2), (2, 1), (1, 0)],
-    10: [(10, 8), (7, 7), (6, 6), (5, 5), (5, 4), (4, 3), (3, 2), (2, 1), (2, 0)],
-    11: [(10, 9), (8, 8), (7, 7), (6, 6), (5, 5), (4, 4), (4, 3), (3, 2),
-         (2, 1), (1, 0)],
-    12: [(12, 10), (9, 9), (8, 8), (7, 7), (6, 6), (6, 5), (4, 4), (4, 3),
-         (3, 2), (2, 1), (2, 0)],
-}
-
-
 def table6_cells():
-    for n, row in _TABLE6.items():
-        for k, dc in enumerate(row):
-            yield n, k, dc
+    """The n <= 12 EAQECC table as (n, k, (d, c)) cells, k = (quaternary
+    dimension) - 1: the first code of `pair_params` applied to each exact
+    hull-1 distance of `bounds.table5_cells`.  At (10, 6) this gives
+    [3; 2], where the widely circulated rendering prints [3; 3]."""
+    for n, k, d in table5_cells():
+        first, _ = pair_params(n, k, d, None)
+        yield n, k - 1, (first.d, first.c)
 
 
 def table6_entry(n, k):
     """(d, c) for the n <= 12 EAQECC table, derived from the stored hull-1
     witness of the underlying quaternary [n, k+1] code; callers compare it
-    with the literal table of `table6_cells`."""
-    if n not in _TABLE6 or not 0 <= k < len(_TABLE6[n]):
+    with the table of `table6_cells`."""
+    if not (2 <= n <= 12 and 0 <= k <= n - 2):
         raise OutOfRangeError(f"no EAQECC table cell for (n={n}, k={k})")
     first, _ = derive_pair(witnesses.witness(n, k + 1))
     return first.d, first.c
 
 
-# Reference parameters of previously known EAQECCs for the k = 2 comparison
-# rows (from public code tables); each row pairs them with the parameters
-# obtained here from the [n, 3] hull-1 code.
+# Previously known EAQECCs of the k = 2 comparison rows, from public code
+# tables; each row is compared with the corollary family member of length n.
 TABLE7_REFERENCE = {
-    13: ([(13, 2, 4, 0), (13, 2, 5, 1), (13, 2, 6, 2), (13, 2, 8, 9)], (13, 3, 9)),
-    14: ([(14, 2, 5, 0), (14, 2, 7, 2), (14, 2, 9, 9)], (14, 3, 10)),
-    16: ([(16, 2, 6, 0), (16, 2, 8, 2), (16, 2, 10, 9)], (16, 3, 11)),
-    17: ([(17, 2, 6, 0), (17, 2, 8, 2), (17, 2, 10, 9)], (17, 3, 12)),
-    18: ([(18, 2, 6, 0), (18, 2, 8, 2), (18, 2, 10, 9)], (18, 3, 13)),
-    19: ([(19, 2, 6, 0), (19, 2, 9, 2), (19, 2, 10, 9)], (19, 3, 14)),
-    20: ([(20, 2, 6, 0), (20, 2, 10, 2)], (20, 3, 14)),
-    22: ([(22, 2, 6, 0), (22, 2, 7, 1), (22, 2, 11, 2)], (22, 3, 16)),
+    13: [(13, 2, 4, 0), (13, 2, 5, 1), (13, 2, 6, 2), (13, 2, 8, 9)],
+    14: [(14, 2, 5, 0), (14, 2, 7, 2), (14, 2, 9, 9)],
+    16: [(16, 2, 6, 0), (16, 2, 8, 2), (16, 2, 10, 9)],
+    17: [(17, 2, 6, 0), (17, 2, 8, 2), (17, 2, 10, 9)],
+    18: [(18, 2, 6, 0), (18, 2, 8, 2), (18, 2, 10, 9)],
+    19: [(19, 2, 6, 0), (19, 2, 9, 2), (19, 2, 10, 9)],
+    20: [(20, 2, 6, 0), (20, 2, 10, 2)],
+    22: [(22, 2, 6, 0), (22, 2, 7, 1), (22, 2, 11, 2)],
 }
 
 
@@ -114,8 +98,8 @@ def table7_comparison():
     and whether it improves distance over every known entry of equal or
     larger entanglement."""
     report = []
-    for n, (known, (qn, qk, qd)) in sorted(TABLE7_REFERENCE.items()):
-        ours, _ = pair_params(qn, qk, qd, None)
+    for n, known in sorted(TABLE7_REFERENCE.items()):
+        ours = corollary_family(*divmod(n, 21))
         better_d = all(ours.d > kd for (_, _, kd, kc) in known if kc >= ours.c)
         smaller_c = all(ours.c < kc or ours.d > kd for (_, _, kd, kc) in known)
         report.append({

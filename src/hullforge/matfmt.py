@@ -7,11 +7,11 @@ canonical: ASCII, LF endings, single spaces.
 
 import numpy as np
 
+from . import gf4
 from .exceptions import ParseError
 
-_SYM_TO_VAL = {"0": 0, "1": 1, "w": 2, "W": 3}
+_SYM_TO_VAL = {sym: val for val, sym in enumerate(gf4.SYMBOLS)}
 _DIGIT_TO_VAL = {"0": 0, "1": 1, "2": 2, "3": 3}
-_VAL_TO_SYM = "01wW"
 
 
 def parse(text, digits=False):
@@ -68,7 +68,7 @@ def render(matrix, comment=None):
             out.append(f"# {line}")
     out.append(f"{n} {k}")
     for row in matrix:
-        out.append(" ".join(_VAL_TO_SYM[v] for v in row))
+        out.append(" ".join(gf4.SYMBOLS[v] for v in row))
     return "\n".join(out) + "\n"
 
 

@@ -23,6 +23,9 @@ def test_griesmer_examples():
     assert griesmer_max_d(5, 2) == 4
     assert griesmer_max_d(21, 3) == 16
     assert griesmer_max_d(7, 7) == 1
+    for n, k in ((3, 4), (3, 0)):
+        with pytest.raises(ValueError):
+            griesmer_max_d(n, k)
 
 
 def test_griesmer_oracle_by_direct_sum():
@@ -59,6 +62,8 @@ def test_sphere_packing_examples():
     assert sphere_packing_max_d(22, 19) == 2
     for n in (1, 5, 9):
         assert sphere_packing_max_d(n, n) == 1
+    with pytest.raises(ValueError):
+        sphere_packing_max_d(3, 4)
 
 
 def test_sphere_packing_hamming_code():

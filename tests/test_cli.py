@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from hullforge import eaqecc, matfmt
+from hullforge import bounds, cli, eaqecc, matfmt
 from hullforge.cli import main
 from hullforge.code import LinearCode
 from hullforge.construct import fixture, simplex_matrix
+from hullforge.exceptions import OutOfRangeError
 
 
 @pytest.fixture
@@ -127,6 +128,15 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     status, captured = run(capsys, "analyze", "/nonexistent/file.g4m")
     assert status == 2
+
+
+def test_analyze_non_ascii_file(tmp_path, capsys):
+    path = tmp_path / "bad.g4m"
+    path.write_bytes(b"2 1\n1 \xff\n")
+    status, captured = run(capsys, "analyze", str(path))
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'ascii' codec can't decode byte 0xff")
 
 
 def test_usage_error(capsys):
@@ -332,12 +342,54 @@ def test_verify_paper_skip_table6(capsys):
 
 
 def test_verify_paper_reports_table6_mismatch(capsys, monkeypatch):
-    # the source prints [3;3] at (10, 6), where the stored witness gives c = 2
-    row = list(eaqecc._TABLE6[10])
-    row[6] = (3, 3)
-    monkeypatch.setitem(eaqecc._TABLE6, 10, row)
+    # a wrong paper distance at (10, 7) makes the table cell (10, 6) [4;2],
+    # where the stored witness gives [3;2]
+    row = list(bounds._TABLE5_ROWS[10])
+    row[6] = 4
+    monkeypatch.setitem(bounds._TABLE5_ROWS, 10, tuple(row))
     status, captured = run(capsys, "verify-paper")
     assert status == 1
     assert any(line.startswith("[FAIL] EAQECC table")
                for line in captured.out.splitlines())
     assert captured.out.endswith("verification FAILED\n")
+
+
+def test_table_unwritable_out(capsys):
+    status, captured = run(capsys, "table", "--max-n", "4",
+                           "--out", "/nonexistent/dir/x")
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
+
+def _verify_paper_fails(capsys, label):
+    status, captured = run(capsys, "verify-paper")
+    assert status == 1
+    fails = [ln for ln in captured.out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(fails) == 1 and fails[0].startswith(f"[FAIL] {label}")
+    assert captured.out.endswith("verification FAILED\n")
+    return captured.out
+
+
+def test_verify_paper_reports_griesmer_mismatch(capsys, monkeypatch):
+    monkeypatch.setitem(cli._GRIESMER_K3_OFFSET, 5, 4)
+    _verify_paper_fails(capsys, "Griesmer k=3 residue table")
+
+
+def test_verify_paper_reports_k2_case_table_mismatch(capsys, monkeypatch):
+    # a hull-1 multiplicity vector among the case-table vectors
+    monkeypatch.setattr(cli, "_table1_vectors", lambda s: [(0, 0, 0, 1, 2)])
+    _verify_paper_fails(capsys, "k=2 case table")
+
+
+def test_verify_paper_reports_table6_error(capsys, monkeypatch):
+    entry = eaqecc.table6_entry
+
+    def failing(n, k):
+        if (n, k) == (10, 6):
+            raise OutOfRangeError("no stored witness")
+        return entry(n, k)
+
+    monkeypatch.setattr(eaqecc, "table6_entry", failing)
+    out = _verify_paper_fails(capsys, "EAQECC table")
+    assert "(10, 6, 'error: no stored witness', (3, 2))" in out

@@ -35,6 +35,15 @@ def test_from_generator_drops_dependent_rows():
 def test_from_generator_zero_matrix():
     with pytest.raises(ZeroMatrixError):
         LinearCode.from_generator(np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ZeroMatrixError):
+        LinearCode.zero(3).min_distance()
+
+
+def test_init_leaves_callers_array_writable():
+    g = np.eye(2, dtype=np.uint8)
+    c = LinearCode(g)
+    g[0, 1] = 1
+    assert c.generator.tolist() == [[1, 0], [0, 1]]
 
 
 def test_from_generator_fixture():
@@ -69,6 +78,8 @@ def test_min_distance_budget():
         LinearCode.from_generator(g).min_distance()
     # k = 15 is beyond the cap, but the zero dual is not
     assert LinearCode.from_generator(np.eye(15, dtype=np.uint8)).min_distance() == 1
+    with pytest.raises(BudgetExceededError):
+        LinearCode.from_generator(np.eye(15, dtype=np.uint8)).codewords()
 
 
 def test_weight_distribution_simplex():
@@ -197,6 +208,11 @@ def test_puncture_repetition():
 def test_puncture_everything_fails():
     with pytest.raises(AllCoordinatesError):
         repetition(2).puncture({0, 1})
+    # coordinates outside 0..n-1
+    with pytest.raises(ValueError):
+        repetition(2).puncture({2})
+    with pytest.raises(ValueError):
+        repetition(2).shorten({-1})
 
 
 def test_shorten_repetition_gives_zero_code():

@@ -35,6 +35,8 @@ def test_simplex_lengths():
 
 def test_simplex_matrix_k1_k2():
     assert simplex_matrix(1).tolist() == [[1]]
+    with pytest.raises(ValueError):
+        simplex_matrix(0)
     s2 = simplex_matrix(2)
     assert s2.tolist() == [
         [1, 0, 1, 1, 1],
@@ -93,6 +95,8 @@ def test_code_from_multiplicity_simplex():
 def test_code_from_multiplicity_rank_deficient():
     with pytest.raises(RankDeficientError):
         code_from_multiplicity(MultiplicityVector(2, (3, 0, 0, 0, 0)))
+    with pytest.raises(RankDeficientError):
+        multiplicity_generator(MultiplicityVector(2, (0,) * 5))
 
 
 def test_code_from_multiplicity_distance_oracle():
@@ -114,6 +118,8 @@ def test_extend_simplex_grows_distance_and_keeps_hull():
 def test_extend_simplex_zero_blocks():
     c = fixture("G_[4,3,2]").code()
     assert extend_simplex(c, 0) == c
+    with pytest.raises(ValueError):
+        extend_simplex(c, -1)
 
 
 def test_extend_simplex_needs_k2():
@@ -135,6 +141,9 @@ def test_strip_simplex_distance_guard():
     ext = extend_simplex(c, 0)
     with pytest.raises(DistanceTooSmallError):
         strip_simplex(ext, 1)
+    # two blocks of 16 would take all of d = 4 + 16
+    with pytest.raises(DistanceTooSmallError):
+        strip_simplex(extend_simplex(simplex(2), 1), 2)
 
 
 def test_remove_scalar_pair():
@@ -200,6 +209,8 @@ def test_distance_two_code():
         assert (c.n, c.k) == (n, n - k)
         assert hull_dim(c) == 1
         assert c.min_distance() == 2
+    with pytest.raises(ValueError):
+        distance_two_code(5, 2)
 
 
 def test_fixture_names_complete():

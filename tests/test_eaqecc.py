@@ -95,6 +95,20 @@ def test_witness_registry_complete():
 def test_witness_out_of_range():
     with pytest.raises(OutOfRangeError):
         witnesses.witness(40, 2)
+    with pytest.raises(OutOfRangeError):
+        witnesses.claimed_distance(40, 2)
+
+
+def test_table6_cell_of_the_readme_note():
+    # the hull-1 [10, 7, 3] code gives [[10,6,3;2]]; the widely circulated
+    # rendering of the table prints [3;3] here
+    assert {(n, k): dc for n, k, dc in table6_cells()}[(10, 6)] == (3, 2)
+    assert table6_entry(10, 6) == (3, 2)
+
+
+# d of the family member [[n,2,d;n-4]] on each comparison row, pinned apart
+# from `corollary_family`
+_TABLE7_OURS_D = {13: 9, 14: 10, 16: 11, 17: 12, 18: 13, 19: 14, 20: 14, 22: 16}
 
 
 def test_table7_rows_improve_over_references():
@@ -103,4 +117,5 @@ def test_table7_rows_improve_over_references():
     for row in report:
         ours = row["ours"]
         assert ours.k == 2 and ours.c == ours.n - 4
+        assert ours.d == _TABLE7_OURS_D[row["n"]]
         assert row["better_distance_at_cost"], row["n"]

@@ -36,6 +36,9 @@ def test_parse_errors_report_location():
         matfmt.parse("2 1\n1 0 1\n")  # too many symbols
     with pytest.raises(ParseError):
         matfmt.parse("banana\n1\n")
+    with pytest.raises(ParseError) as exc:
+        matfmt.parse("a b\n")
+    assert exc.value.line == 1
     with pytest.raises(ParseError):
         matfmt.parse("0 1\n\n")
 
