@@ -2,7 +2,9 @@
 
 Weight data come from one exhaustive codeword enumeration per code, on the
 side whose dimension is within the cap (DEFAULT_ENUM_CAP): the code itself
-when k <= cap, else its Hermitian dual when n - k <= cap.  The other side
+when k <= cap, else its Hermitian dual when n - k <= cap.  Above one block
+(k > _BLOCK_K) the smaller side is enumerated: the dual when n - k < k, so
+a high-rate code costs 4^(n - k) words, not 4^k.  The other side
 follows from the exact MacWilliams transform (`macwilliams`); the Hermitian
 dual is the conjugate of the Euclidean dual, so both duals have the same
 weights.  Generators are uint8 arrays holding one symbol per byte, kept in
@@ -15,7 +17,9 @@ spreads their multiples over uint64 words and takes each weight as
 popcount(p0 | p1), visiting one message per scalar class
 {c * x : c in GF(4)*} outside the expanded block (c * x has the weight of
 x); the randomized search feeds its packed candidates to the same routine
-(`_plane_weights`).
+(`_plane_weights`).  The block is 4^7 words, small enough that a pass over
+it works in a core's L2 cache instead of streaming through memory
+(`_BLOCK_K`).
 """
 
 import numpy as np
@@ -32,8 +36,12 @@ DEFAULT_ENUM_CAP = 14
 
 # rows expanded into one packed block of 4^_BLOCK_K words during enumeration;
 # the s = k - _BLOCK_K others are looped over as prefixes, one per scalar
-# class (1 + (4^s - 1) / 3 iterations)
-_BLOCK_K = 9
+# class (1 + (4^s - 1) / 3 iterations).  At 7 the working set of one pass
+# over 64 columns (two 128 KiB block planes, the 256 KiB XOR pair and the
+# weights) fits in a 2 MiB L2 cache; 9 streamed about 12 MiB per pass.  A
+# sweep over 6..9 (CHANGES.md) found 7 fastest at k = 11 and 14 and level
+# with 8 at k = 12; 6 pays the per-pass overhead four times as often.
+_BLOCK_K = 7
 
 _WORD = (1 << 64) - 1
 
@@ -95,10 +103,14 @@ class LinearCode:
 
     def weight_distribution(self, cap=DEFAULT_ENUM_CAP):
         """A_0..A_n, enumerated when k <= cap, else transformed from the
-        enumerated Hermitian dual; BudgetExceededError when both k and
-        n - k exceed the cap."""
+        enumerated Hermitian dual; also from the dual when it is the
+        smaller side (n - k < k) and k exceeds one block (_BLOCK_K), where
+        building the dual costs less than the passes it saves.
+        BudgetExceededError when both k and n - k exceed the cap."""
         if self._weights is None:
-            if self.k <= cap:
+            dual_side = self.k > cap or (self.k > _BLOCK_K
+                                         and self.n - self.k < self.k)
+            if not dual_side:
                 self._weights = WeightDistribution(self._count_weights())
             elif self.n - self.k <= cap:
                 self._dual_weights = self.hermitian_dual().weight_distribution(cap)
@@ -234,22 +246,32 @@ def _plane_weights(lo, hi, n):
     only those prefixes (indices 4^t <= i < 2 * 4^t of `_plane_span`,
     t < s) and p = 0 are visited: A = A(p = 0) + 3 * sum A(p normalised),
     exact for dependent rows too.  That is 1 + (4^s - 1) / 3 block passes
-    for the 4^s prefixes.
+    for the 4^s prefixes.  Each pass goes word by word, XORing the prefix
+    into the block as one uint64 scalar per plane, and works in buffers
+    allocated once per call.
     """
-    counts = np.zeros(n + 1, dtype=np.int64)
     multiples = _plane_multiples(lo, hi, n)
     split = len(lo) - min(len(lo), _BLOCK_K)
     block = _plane_span(multiples[split:])
     prefixes = _plane_span(multiples[:split])
-    mixed = np.empty_like(block)
-    union = np.empty_like(block[0])
-    weights = np.empty(block.shape[2], dtype=np.intp)
+    # one word of the block with the prefix XORed in; the OR of its two
+    # planes overwrites the first, and no weight exceeds n
+    mixed = np.empty((2, block.shape[2]), dtype=np.uint64)
+    union = mixed[0]
+    popcount = np.empty_like(union, dtype=np.uint8)
+    weights = np.empty_like(union, dtype=np.min_scalar_type(n))
+    counts = np.zeros(n + 1, dtype=np.int64)
     for i in [0] + [j for t in range(split) for j in range(4 ** t, 2 * 4 ** t)]:
-        np.bitwise_xor(block, prefixes[:, :, i: i + 1], out=mixed)
-        np.bitwise_or(mixed[0], mixed[1], out=union)
-        np.bitwise_count(union[0], out=weights)
-        for word in union[1:]:
-            weights += np.bitwise_count(word)
+        for w in range(block.shape[1]):
+            p0, p1 = block[0, w], block[1, w]
+            if i:
+                p0 = np.bitwise_xor(p0, prefixes[0, w, i], out=mixed[0])
+                p1 = np.bitwise_xor(p1, prefixes[1, w, i], out=mixed[1])
+            np.bitwise_or(p0, p1, out=union)
+            if w:
+                weights += np.bitwise_count(union, out=popcount)
+            else:
+                np.bitwise_count(union, out=weights)
         class_size = 3 if i else 1
         counts += class_size * np.bincount(weights, minlength=n + 1)
     return counts

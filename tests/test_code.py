@@ -12,7 +12,7 @@ from conftest import (
 )
 from hullforge import gf4, witnesses
 from hullforge.bounds import griesmer_holds
-from hullforge.code import LinearCode, _plane_weights, macwilliams
+from hullforge.code import _BLOCK_K, LinearCode, _plane_weights, macwilliams
 from hullforge.construct import fixture, fixture_names, simplex
 from hullforge.exceptions import (
     AllCoordinatesError,
@@ -124,7 +124,8 @@ def test_weights_across_word_boundaries(rng, n):
 
 @pytest.mark.parametrize("n, k", [(13, 10), (12, 11)])
 def test_weights_beyond_block_against_codewords(rng, n, k):
-    # k > _BLOCK_K, so the weights come from several prefixes of the block
+    # k > _BLOCK_K: the code itself is weighed through its smaller dual
+    # (n - k < k), the wide copy below through several prefixes of the block
     c = random_code(rng, n, k)
     assert c.k == k
     expected = np.bincount(np.count_nonzero(c.codewords(), axis=1), minlength=n + 1)
@@ -423,3 +424,44 @@ def test_plane_weights_with_dependent_rows(rng, extra):
     counts = _plane_weights(*oracle_row_planes(rows), 70)
     assert counts.tolist() == expected.tolist()
     assert counts.sum() == 4 ** 12
+
+
+def _codeword_counts(code):
+    """A_0..A_n from the uint8 list of all codewords (`_span`)."""
+    return np.bincount(np.count_nonzero(code.codewords(), axis=1),
+                       minlength=code.n + 1)
+
+
+@pytest.mark.parametrize("n", [None, 65, 129])
+def test_plane_weights_at_block_boundary(rng, n):
+    # k = _BLOCK_K - 1 and _BLOCK_K take one pass over a partial or full
+    # block, _BLOCK_K + 1 and + 2 one or two prefix rows; n = None is k + 3
+    for k in range(_BLOCK_K - 1, _BLOCK_K + 3):
+        code = random_code(rng, n or k + 3, k)
+        assert code.k == k
+        counts = _plane_weights(*gf4._row_planes(code.generator), code.n)
+        assert counts.tolist() == _codeword_counts(code).tolist()
+    # a dependent prefix row: each codeword comes from 4 messages
+    code = random_code(rng, n or _BLOCK_K + 4, _BLOCK_K)
+    rows = np.vstack([gf4.MUL[2][code.generator[0]] ^ code.generator[-1],
+                      code.generator])
+    counts = _plane_weights(*gf4._row_planes(rows), code.n)
+    assert counts.tolist() == (4 * _codeword_counts(code)).tolist()
+
+
+def test_high_rate_code_enumerates_its_dual(rng, monkeypatch):
+    # k > _BLOCK_K and n - k < k: one enumeration of the [n, n - k] dual,
+    # transformed back, gives the same counts as listing the 4^k codewords
+    calls = []
+    count_weights = LinearCode._count_weights
+
+    def counting(self):
+        calls.append((self.n, self.k))
+        return count_weights(self)
+
+    monkeypatch.setattr(LinearCode, "_count_weights", counting)
+    code = random_code(rng, 12, _BLOCK_K + 3)
+    assert code.k == _BLOCK_K + 3
+    counts = code.weight_distribution().counts
+    assert calls == [(12, 12 - code.k)]
+    assert counts == tuple(_codeword_counts(code))
