@@ -439,13 +439,13 @@ def test_plane_weights_at_block_boundary(rng, n):
     for k in range(_BLOCK_K - 1, _BLOCK_K + 3):
         code = random_code(rng, n or k + 3, k)
         assert code.k == k
-        counts = _plane_weights(*gf4._row_planes(code.generator), code.n)
+        counts = _plane_weights(*oracle_row_planes(code.generator), code.n)
         assert counts.tolist() == _codeword_counts(code).tolist()
     # a dependent prefix row: each codeword comes from 4 messages
     code = random_code(rng, n or _BLOCK_K + 4, _BLOCK_K)
     rows = np.vstack([gf4.MUL[2][code.generator[0]] ^ code.generator[-1],
                       code.generator])
-    counts = _plane_weights(*gf4._row_planes(rows), code.n)
+    counts = _plane_weights(*oracle_row_planes(rows), code.n)
     assert counts.tolist() == (4 * _codeword_counts(code)).tolist()
 
 
