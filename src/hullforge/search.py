@@ -18,9 +18,19 @@ Candidates are evaluated on packed row planes, two Python ints per row as
 in `gf4._eliminate`: the hull test is the rank of a Gram matrix built by
 popcount parity, a hull-2 lift reads its coordinate off the same reduced
 Gram, and weights come from the shared `code._plane_weights`, with no
-`LinearCode` per candidate.  The accepted witness is then re-verified on
-the independent numpy path (`hull.hull_dim` over `gf4.hermitian_gram`,
-and the weights of a fresh `LinearCode`).
+`LinearCode` per candidate.  Four exact rejections come before the
+weights, the first three before the candidate's Gram:
+- a lift's hull-2 test runs on the smaller of [I | b] and [I | b^T], whose
+  hulls have equal dimension (C and its Hermitian dual share their hull);
+- a candidate with a row, or a sum y + c x of two rows, lighter than the
+  running best is skipped;
+- once the best reaches min(Griesmer, sphere-packing), the largest distance
+  any [n, k] code can have, a candidate can only tie, so one whose
+  generator bytes are not below the best's is skipped;
+- a candidate whose hull is not 1-dimensional is skipped.
+The accepted witness is then re-verified on the independent numpy path
+(`hull.hull_dim` over `gf4.hermitian_gram`, and the weights of a fresh
+`LinearCode`).
 
 Both engines re-check their witness with explicit raises, so the checks
 survive `python -O`.
@@ -432,8 +442,21 @@ def _planes_hull_dim(lo, hi):
 def _hull_lift(b):
     """Row planes of [I_k | b without row p], which is [I | b] (k + 1 rows)
     shortened on its first hull pivot p, when [I | b] has hull dimension 2;
-    None otherwise."""
-    glo, ghi = gf4._hermitian_gram_planes(*_systematic_planes(b))
+    None otherwise.
+
+    [I | b] and [I | b^T] have hulls of equal dimension: C and its Hermitian
+    dual [conj(b)^T | I] share their hull, and conjugation keeps the rank
+    of the Gram.  So when b is wider than tall the hull test runs on the
+    smaller Gram of [I | b^T], and the row-side Gram, which names p, is
+    built only for a lift that passes.  The shortened planes are the rows
+    already built, with bit p deleted.
+    """
+    k1, m = b.shape
+    # b.T is a view whose bytes `_systematic_planes` reads in C order
+    if m < k1 and _planes_hull_dim(*_systematic_planes(b.T)) != 2:
+        return None
+    lo, hi = _systematic_planes(b)
+    glo, ghi = gf4._hermitian_gram_planes(lo, hi)
     if len(glo) - len(gf4._eliminate(glo, ghi)) != 2:
         return None
     # hull vectors are conj(u) . [I | b] for u in the Gram kernel, so p is
@@ -441,8 +464,35 @@ def _hull_lift(b):
     # unit vector is outside the Gram's row space, and in RREF a unit
     # vector is in the row space exactly when it is a row
     rows = set(zip(glo, ghi))
-    p = next(c for c in range(len(glo)) if (1 << c, 0) not in rows)
-    return _systematic_planes(np.delete(b, p, axis=0))
+    p = next(c for c in range(k1) if (1 << c, 0) not in rows)
+    # the shortened rows: every row but p, with column p deleted
+    low = (1 << p) - 1
+    return tuple(
+        [x & low | x >> (p + 1) << p for r, x in enumerate(plane) if r != p]
+        for plane in (lo, hi)
+    )
+
+
+def _light(lo, hi, bound):
+    """True when a row y, or y + c x for an earlier row x and c in
+    {1, w, w^2}, has weight below bound: then so has the code's distance.
+
+    For a systematic generator and bound <= 3 the converse holds too: a
+    codeword of weight <= 2 has at most two nonzero message symbols, so it
+    is a multiple of a row or of some y + c x.
+    """
+    rows = list(zip(lo, hi))
+    for j, (y0, y1) in enumerate(rows):
+        if (y0 | y1).bit_count() < bound:
+            return True
+        for x0, x1 in rows[:j]:
+            # w x has the planes (x1, x0 ^ x1) and w^2 x (x0 ^ x1, x0)
+            x2 = x0 ^ x1
+            if (((y0 ^ x0) | (y1 ^ x1)).bit_count() < bound
+                    or ((y0 ^ x1) | (y1 ^ x2)).bit_count() < bound
+                    or ((y0 ^ x2) | (y1 ^ x0)).bit_count() < bound):
+                return True
+    return False
 
 
 def random_search(n, k, target_d, seed, budget):
@@ -457,9 +507,12 @@ def random_search(n, k, target_d, seed, budget):
     lexicographically least generator.
 
     Candidates are row planes (lo, hi).  Besides the draws and the weights,
-    only a lift whose hull test passes (one `np.delete`) and a candidate
-    whose distance reaches the running best (the generator bytes of the
-    tie-break) make numpy calls.
+    only the generator bytes of the tie-break make numpy calls.  Four exact
+    rejections come before the weights: a lift whose hull is not
+    2-dimensional (`_hull_lift`, on the smaller Gram), a candidate with a
+    light row or row pair (`_light`), a tie that cannot win once the best
+    distance reaches the Griesmer and sphere-packing ceiling, and a hull
+    dimension other than 1.  None of them changes a draw or the outcome.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -469,6 +522,8 @@ def random_search(n, k, target_d, seed, budget):
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     if k > DEFAULT_ENUM_CAP:
         raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
+    # no [n, k] code has a larger distance
+    ceiling = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
     best_d, best = 0, None  # best: the bytes of the best hull-1 generator
     for t in range(budget):
         j = t % _RANDOM_CHUNK
@@ -491,16 +546,24 @@ def random_search(n, k, target_d, seed, budget):
         if planes is None:
             a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
             planes = current = _systematic_planes(a)
-        if min((x0 | x1).bit_count() for x0, x1 in zip(*planes)) < best_d:
-            # a generator row is a codeword lighter than the running best
+        if _light(*planes, best_d):
+            # a codeword with at most two nonzero message symbols is
+            # lighter than the running best
             continue
+        tie_only = best_d >= ceiling
+        if tie_only:
+            # no candidate can beat the best, only tie with it
+            gen = gf4._planes_matrix(*planes, n).tobytes()
+            if gen >= best:
+                continue
         if _planes_hull_dim(*planes) != 1:
             continue
         counts = _plane_weights(*planes, n)
         d = int(np.flatnonzero(counts[1:])[0]) + 1
         if d < best_d:
             continue
-        gen = gf4._planes_matrix(*planes, n).tobytes()
+        if not tie_only:
+            gen = gf4._planes_matrix(*planes, n).tobytes()
         if d > best_d or gen < best:
             best_d, best = d, gen
     if best is None:

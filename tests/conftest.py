@@ -208,6 +208,58 @@ def run_optimised(script):
                           capture_output=True, text=True, timeout=60)
 
 
+def oracle_hull_lift(b):
+    """The hull-2 lift as it was before its rejections moved to the smaller
+    Gram: the row-side Gram of [I | b] for every lift, and the shortened
+    code rebuilt from b without row p."""
+    glo, ghi = gf4._hermitian_gram_planes(*search._systematic_planes(b))
+    if len(glo) - len(gf4._eliminate(glo, ghi)) != 2:
+        return None
+    rows = set(zip(glo, ghi))
+    p = next(c for c in range(len(glo)) if (1 << c, 0) not in rows)
+    return search._systematic_planes(np.delete(b, p, axis=0))
+
+
+def oracle_random_search(n, k, seed, budget):
+    """The loop of `search.random_search` before it screened row pairs and
+    ties: only the row screen, then the hull test and the weights of every
+    candidate that passes it.  Returns (best_d, best generator bytes or
+    None)."""
+    best_d, best = 0, None
+    for t in range(budget):
+        j = t % search._RANDOM_CHUNK
+        if j == 0:
+            rng = np.random.default_rng([seed, t // search._RANDOM_CHUNK])
+        mode = j % 3
+        planes = None
+        if mode == 1:
+            value = int(rng.integers(4))
+            i = int(rng.integers(k))
+            bit = 1 << (k + int(rng.integers(n - k)))
+            lo, hi = current[0][:], current[1][:]
+            lo[i] = lo[i] | bit if value & 1 else lo[i] & ~bit
+            hi[i] = hi[i] | bit if value & 2 else hi[i] & ~bit
+            planes = current = lo, hi
+        elif mode == 2:
+            planes = oracle_hull_lift(
+                rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8))
+        if planes is None:
+            a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
+            planes = current = search._systematic_planes(a)
+        if min((x0 | x1).bit_count() for x0, x1 in zip(*planes)) < best_d:
+            continue
+        if search._planes_hull_dim(*planes) != 1:
+            continue
+        counts = search._plane_weights(*planes, n)
+        d = int(np.flatnonzero(counts[1:])[0]) + 1
+        if d < best_d:
+            continue
+        gen = gf4._planes_matrix(*planes, n).tobytes()
+        if d > best_d or gen < best:
+            best_d, best = d, gen
+    return best_d, best
+
+
 def random_code(rng, n, k):
     """A random [n, k'] code with k' <= k (dependent rows tolerated)."""
     while True:

@@ -9,11 +9,17 @@ import pytest
 
 from conftest import (
     oracle_enumerate_multiplicities,
+    oracle_random_search,
     oracle_row_planes,
     run_optimised,
 )
 from hullforge import gf4, hull, search
-from hullforge.bounds import dh_closed_form, griesmer_max_d, table5_lookup
+from hullforge.bounds import (
+    dh_closed_form,
+    griesmer_max_d,
+    sphere_packing_max_d,
+    table5_lookup,
+)
 from hullforge.code import LinearCode
 from hullforge.construct import (
     MultiplicityVector,
@@ -450,6 +456,7 @@ def test_packed_candidates_match_numpy(rng):
     assert {0, 1, 2, 3} <= hull_dims
     # the hull-2 lift against shortening [I | b] on its first hull pivot
     pivots = []
+    branches = set()
     for _ in range(600):
         k1, m = int(rng.integers(2, 10)), int(rng.integers(1, 41))
         b = rng.integers(0, 4, size=(k1, m), dtype=np.uint8)
@@ -461,7 +468,96 @@ def test_packed_candidates_match_numpy(rng):
             want = gf4._row_planes(lifted.shorten({p}).generator)
             pivots.append(p)
         assert search._hull_lift(b) == want
+        if want is not None:
+            # a b wider than tall is tested on the Gram of [I | b^T] first
+            branches.add(m < k1)
     assert len(pivots) >= 30 and max(pivots) >= 2
+    assert branches == {False, True}
+
+
+def test_hull_dim_of_transposed_systematic_matrix(rng):
+    # [I | A] and [I | A^T] have hulls of equal dimension, which the hull-2
+    # lift uses to test the smaller Gram
+    dims = set()
+    for _ in range(300):
+        k, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        a = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
+        a[rng.random(a.shape) < 0.3 + 0.7 * rng.random()] = 0
+        dim = hull_dim(LinearCode(np.hstack([np.eye(k, dtype=np.uint8), a])))
+        assert search._planes_hull_dim(*search._systematic_planes(a)) == dim
+        assert search._planes_hull_dim(*search._systematic_planes(a.T)) == dim
+        dims.add(dim)
+    assert {0, 1, 2, 3} <= dims
+
+
+def test_light_screen_against_weights(rng):
+    # `_light` implies d < bound for every bound, and for a systematic
+    # generator it is exactly d < bound when bound <= 3
+    seen = Counter()
+    for _ in range(300):
+        k, m = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        a = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
+        a[rng.random(a.shape) < rng.random()] = 0
+        planes = search._systematic_planes(a)
+        counts = search._plane_weights(*planes, k + m)
+        d = int(np.flatnonzero(counts[1:])[0]) + 1
+        for bound in range(k + m + 2):
+            light = search._light(*planes, bound)
+            if bound <= 3:
+                assert light == (d < bound), (a, bound)
+            elif light:
+                assert d < bound, (a, bound)
+            seen[bound <= 3, light, d < bound] += 1
+    assert seen[True, True, True] and seen[True, False, False]
+    assert seen[False, True, True]
+    # beyond 3 it can miss: here only the sum of all three rows has weight 3
+    a = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
+                 dtype=np.uint8)
+    assert LinearCode(np.hstack([np.eye(3, dtype=np.uint8), a])).min_distance() == 3
+    assert not search._light(*search._systematic_planes(a), 4)
+
+
+# (n, k, seed, budget): k = 1..8 and n - k = 1..10 at equal parity, so lifts
+# run with n - k both below and above k + 1; then chunk-crossing budgets on
+# two sizes whose search reaches the distance ceiling and one whose does not
+ORACLE_RUNS = [
+    (k + m, k, 100 * k + m, 150)
+    for k in range(1, 9) for m in range(1, 11) if (k + m) % 2 == 0
+] + [(8, 4, 5, 1100), (9, 5, 6, 2100), (12, 6, 7, 1100)]
+
+
+def test_random_search_matches_oracle_loop():
+    reached = {}
+    for n, k, seed, budget in ORACLE_RUNS:
+        o = random_search(n, k, 1, seed=seed, budget=budget)
+        got = (o.best_d,
+               o.witness.generator.tobytes() if o.witness is not None else None)
+        assert got == oracle_random_search(n, k, seed, budget), (n, k, seed)
+        ceiling = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
+        reached[n, k] = o.best_d == ceiling
+    assert len(ORACLE_RUNS) >= 40
+    assert {n - k < k + 1 for n, k, _, _ in ORACLE_RUNS} == {False, True}
+    # of the long runs, two reach the ceiling, after which candidates only tie
+    assert [reached[n, k] for n, k, _, _ in ORACLE_RUNS[-3:]] == [True, True, False]
+
+
+def test_random_search_rejection_counts(monkeypatch):
+    # the screens leave few candidates to the Gram and fewer to the weights;
+    # before them this search made 1,156 Grams and 182 enumerations
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(search, "_plane_weights")
+    count(gf4, "_hermitian_gram_planes")
+    random_search(9, 5, 4, seed=3, budget=2048)
+    assert calls == {"_plane_weights": 34, "_hermitian_gram_planes": 818}
 
 
 def test_random_search_without_hull_one_candidate():
