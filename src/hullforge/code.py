@@ -94,11 +94,6 @@ class LinearCode:
             raise ZeroMatrixError("generator matrix has rank 0")
         return code
 
-    @classmethod
-    def zero(cls, n):
-        """The degenerate k = 0 code of length n."""
-        return cls(np.zeros((0, n), dtype=np.uint8))
-
     # -- weight data -------------------------------------------------------
 
     def weight_distribution(self, cap=DEFAULT_ENUM_CAP):
@@ -170,11 +165,6 @@ class LinearCode:
         msgs = gf4.kernel(sel.T)  # x with x . G_S = 0
         keep = [c for c in range(self.n) if c not in coords]
         return _row_space(gf4.matmul(msgs, self.generator)[:, keep])
-
-    def contains(self, vector):
-        v = np.asarray(vector, dtype=np.uint8).reshape(1, -1)
-        stacked = np.vstack([self.generator, v])
-        return gf4.rank(stacked) == self.k
 
     def __eq__(self, other):
         return (

@@ -1,5 +1,5 @@
 """Explicit code constructions: simplex matrices, multiplicity-vector codes,
-simplex padding/stripping, scalar-pair deletion, and the fixture corpus.
+simplex padding, and the fixture corpus.
 
 The simplex column order produced by the recursion is normative: the
 multiplicity-vector indexing and the column-count bounds used by the search
@@ -16,7 +16,6 @@ from . import gf4, matfmt
 from .code import LinearCode
 from .exceptions import (
     DimensionTooSmallError,
-    DistanceTooSmallError,
     RankDeficientError,
     UnknownFixtureError,
 )
@@ -107,43 +106,6 @@ def extend_simplex(c: LinearCode, s: int) -> LinearCode:
         raise ValueError("s must be nonnegative")
     blocks = [simplex_matrix(c.k)] * s + [c.generator]
     return LinearCode.from_generator(np.hstack(blocks))
-
-
-def strip_simplex(c0: LinearCode, s: int) -> LinearCode:
-    """Remove s leading simplex blocks; valid when D > 4^(k-1) * s, which
-    guarantees the residual columns still have rank k."""
-    if s == 0:
-        return c0
-    k = c0.k
-    width = simplex_length(k) * s
-    if width >= c0.n:
-        raise DistanceTooSmallError("nothing left after removing the blocks")
-    threshold = 4 ** (k - 1) * s
-    if c0.min_distance() <= threshold:
-        raise DistanceTooSmallError(
-            f"minimum distance must exceed {threshold} to strip {s} block(s)"
-        )
-    residual = c0.generator[:, width:]
-    return LinearCode.from_generator(residual)
-
-
-def remove_scalar_pair(c: LinearCode):
-    """Delete the first pair of columns (v, a*v); returns None if no pair of
-    proportional columns exists.  Hull dimension is unchanged because the
-    pair contributes v*conj(v)^T * (1 + a*conj(a)) = 0 to the Gram matrix."""
-    g = c.generator
-    for i in range(c.n):
-        vi = g[:, i]
-        for j in range(i + 1, c.n):
-            vj = g[:, j]
-            if _proportional(vi, vj):
-                keep = [t for t in range(c.n) if t not in (i, j)]
-                return LinearCode.from_generator(g[:, keep])
-    return None
-
-
-def _proportional(u, v):
-    return any(np.array_equal(gf4.scale_row(a, u), v) for a in (1, 2, 3))
 
 
 # -- parameterized witnesses -----------------------------------------------

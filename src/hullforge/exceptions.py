@@ -29,10 +29,6 @@ class DimensionTooSmallError(HullforgeError):
     """Simplex padding requires dimension at least 2."""
 
 
-class DistanceTooSmallError(HullforgeError):
-    """Stripping simplex blocks needs minimum distance above the block weight."""
-
-
 class UnknownFixtureError(HullforgeError):
     """No fixture with the requested name."""
 

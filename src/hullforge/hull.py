@@ -56,9 +56,3 @@ def hull_information_set(c: LinearCode):
     """Pivot columns of the hull basis in RREF."""
     _, pivots = gf4.rref(hull_report(c).hull_basis)
     return pivots
-
-
-def hull_of_shortening(c: LinearCode, coords):
-    """(hull dim of the punctured code, hull dim of the shortened code)."""
-    coords = set(coords)
-    return hull_dim(c.puncture(coords)), hull_dim(c.shorten(coords))

@@ -11,26 +11,27 @@ it reaches at a fixed depth is settled by one numpy evaluation over a table
 of every completion of the remaining columns, in the DFS's own order.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
-loop over the budget, with one running best, that starts a new RNG stream
+pass over the budget, with one running best, that starts a new RNG stream
 every _RANDOM_CHUNK candidates, so a seed and a budget fix every emitted
-value.  It never claims exhaustiveness.
-Candidates are evaluated on packed row planes, two Python ints per row as
-in `gf4._eliminate`: the hull test is the rank of a Gram matrix built by
-popcount parity, a hull-2 lift reads its coordinate off the same reduced
-Gram, and weights come from the shared `code._plane_weights`, with no
-`LinearCode` per candidate.  Four exact rejections come before the
-weights, the first three before the candidate's Gram:
-- a lift's hull-2 test runs on the smaller of [I | b] and [I | b^T], whose
-  hulls have equal dimension (C and its Hermitian dual share their hull);
-- a candidate with a row, or a sum y + c x of two rows, lighter than the
-  running best is skipped;
-- once the best reaches min(Griesmer, sphere-packing), the largest distance
-  any [n, k] code can have, a candidate can only tie, so one whose
-  generator bytes are not below the best's is skipped;
-- a candidate whose hull is not 1-dimensional is skipped.
-The accepted witness is then re-verified on the independent numpy path
-(`hull.hull_dim` over `gf4.hermitian_gram`, and the weights of a fresh
-`LinearCode`).
+value.  It never claims exhaustiveness.  Each chunk is handled as a whole:
+- its draws come from one `random_raw` buffer of the chunk's bit
+  generator, decoded exactly as `Generator.integers` consumes it
+  (`_Draws`), so the candidates are those of one `integers` call per draw;
+- a Python walk over the draws builds every candidate [I | A].  A hull-2
+  lift from length n + 1 is tested on the smaller of [I | b] and
+  [I | b^T], whose hulls have equal dimension (C and its Hermitian dual
+  share their hull), on packed row planes as in `gf4._eliminate`;
+- the stack of every A gets the hull-1 test (the Gram by popcount parity,
+  then GF(4) elimination of all candidates at once) and the screen of
+  light rows and row sums y + c x, in numpy;
+- in chunk order, a hull-1 candidate gets its weights from the shared
+  `code._plane_weights`, unless a row or a row sum is lighter than the
+  running best, or the best has reached min(Griesmer, sphere-packing) and
+  the candidate's generator bytes are not below the best's, so that it
+  could only tie.
+No candidate builds a `LinearCode`.  The accepted witness is then
+re-verified on the independent numpy path (`hull.hull_dim` over
+`gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
 
 Both engines re-check their witness with explicit raises, so the checks
 survive `python -O`.
@@ -414,14 +415,19 @@ def certify_nonexistence(n, k, d):
 # at bit 56 + t; every partial product lands on its own bit, so nothing carries
 _GATHER = 0x0102040810204080
 _LOW_BITS = 0x0101010101010101
+# most candidates per call of the stack kernels, which keeps their
+# temporaries, and the process's peak memory, small
+_SLICE = 256
+# the popcount of every byte.  numpy's uint8 popcount loop would run for
+# these kernels alone, and paging its code in costs 128 KiB of peak memory
+_POPCOUNT = np.bitwise_count(np.arange(256, dtype=np.uint64)).astype(np.uint8)
 
 
-def _systematic_planes(a):
-    """Row planes of [I | a] for a uint8 array a, as `gf4._row_planes`
-    builds them but with no numpy call: at candidate size its packbits
-    costs as much as the hull test."""
-    k, m = a.shape
-    raw = a.tobytes()
+def _symbol_planes(raw, k, m):
+    """Row planes of [I | a] for the k x m symbols a held one per byte, row
+    after row, in the bytes raw; as `gf4._row_planes` builds them but with
+    no numpy call: at candidate size its packbits costs as much as the hull
+    test."""
     # the planes of all of a, row after row, from 8 symbols at a time
     lo = hi = 0
     for s in range(0, len(raw), 8):
@@ -435,28 +441,34 @@ def _systematic_planes(a):
     )
 
 
+def _systematic_planes(a):
+    """Row planes of [I | a] for a uint8 array a."""
+    return _symbol_planes(a.tobytes(), *a.shape)
+
+
 def _planes_hull_dim(lo, hi):
     return len(lo) - len(gf4._eliminate(*gf4._hermitian_gram_planes(lo, hi)))
 
 
-def _hull_lift(b):
-    """Row planes of [I_k | b without row p], which is [I | b] (k + 1 rows)
-    shortened on its first hull pivot p, when [I | b] has hull dimension 2;
-    None otherwise.
+def _lift_pivot(raw, m):
+    """The first hull pivot p of [I | b] when its hull has dimension 2, None
+    otherwise, for the matrix b of m columns whose symbols, row after row,
+    are the bytes raw.  Shortened on p, [I | b] becomes [I | b without row
+    p], because row p is its only row that is nonzero at p.
 
     [I | b] and [I | b^T] have hulls of equal dimension: C and its Hermitian
     dual [conj(b)^T | I] share their hull, and conjugation keeps the rank
-    of the Gram.  So when b is wider than tall the hull test runs on the
-    smaller Gram of [I | b^T], and the row-side Gram, which names p, is
-    built only for a lift that passes.  The shortened planes are the rows
-    already built, with bit p deleted.
+    of the Gram.  So when b has fewer columns than rows the hull test runs
+    on the smaller Gram of [I | b^T], and the row-side Gram, which names p,
+    is built only for a lift that passes.
     """
-    k1, m = b.shape
-    # b.T is a view whose bytes `_systematic_planes` reads in C order
-    if m < k1 and _planes_hull_dim(*_systematic_planes(b.T)) != 2:
-        return None
-    lo, hi = _systematic_planes(b)
-    glo, ghi = gf4._hermitian_gram_planes(lo, hi)
+    k1 = len(raw) // m
+    if m < k1:
+        # the rows of b^T are the columns of b, every m-th byte
+        columns = b"".join(raw[c::m] for c in range(m))
+        if _planes_hull_dim(*_symbol_planes(columns, m, k1)) != 2:
+            return None
+    glo, ghi = gf4._hermitian_gram_planes(*_symbol_planes(raw, k1, m))
     if len(glo) - len(gf4._eliminate(glo, ghi)) != 2:
         return None
     # hull vectors are conj(u) . [I | b] for u in the Gram kernel, so p is
@@ -464,55 +476,238 @@ def _hull_lift(b):
     # unit vector is outside the Gram's row space, and in RREF a unit
     # vector is in the row space exactly when it is a row
     rows = set(zip(glo, ghi))
-    p = next(c for c in range(k1) if (1 << c, 0) not in rows)
-    # the shortened rows: every row but p, with column p deleted
-    low = (1 << p) - 1
-    return tuple(
-        [x & low | x >> (p + 1) << p for r, x in enumerate(plane) if r != p]
-        for plane in (lo, hi)
-    )
+    return next(c for c in range(k1) if (1 << c, 0) not in rows)
 
 
-def _light(lo, hi, bound):
-    """True when a row y, or y + c x for an earlier row x and c in
-    {1, w, w^2}, has weight below bound: then so has the code's distance.
+# the symbol of each byte of a uint8 draw in 0..3: 8-bit Lemire with bound 4,
+# which never rejects, maps a byte b to b >> 6
+_TOP_BITS = b"\x00" * 64 + b"\x01" * 64 + b"\x02" * 64 + b"\x03" * 64
 
-    For a systematic generator and bound <= 3 the converse holds too: a
-    codeword of weight <= 2 has at most two nonzero message symbols, so it
-    is a multiple of a row or of some y + c x.
+
+class _Draws:
+    """The draws of a `np.random.Generator`, decoded from the raw 64-bit
+    outputs of its bit generator the way numpy 2.x `Generator.integers`
+    consumes them, so that a chunk takes one `random_raw` call instead of
+    one `integers` call per draw.
+
+    `integers` reads 32-bit words: the low half of each 64-bit output, then
+    the high half.  `bounded(K)` is `int(rng.integers(K))`: 32-bit Lemire
+    on one word x, giving x * K >> 32, except that a word with
+    x * K mod 2^32 < 2^32 mod K is rejected and the next one is used; K = 1
+    takes no word.  `symbols(N)` is the bytes of
+    `rng.integers(0, 4, size=N, dtype=np.uint8)`: each call starts a fresh
+    run of ceil(N / 4) words, read as little-endian bytes, and a byte b
+    gives b >> 6.  The first `random_raw` call fetches `words` words; a
+    draw that runs past the buffer extends it with the next outputs.
     """
-    rows = list(zip(lo, hi))
-    for j, (y0, y1) in enumerate(rows):
-        if (y0 | y1).bit_count() < bound:
-            return True
-        for x0, x1 in rows[:j]:
-            # w x has the planes (x1, x0 ^ x1) and w^2 x (x0 ^ x1, x0)
-            x2 = x0 ^ x1
-            if (((y0 ^ x0) | (y1 ^ x1)).bit_count() < bound
-                    or ((y0 ^ x1) | (y1 ^ x2)).bit_count() < bound
-                    or ((y0 ^ x2) | (y1 ^ x0)).bit_count() < bound):
-                return True
-    return False
+
+    def __init__(self, bit_generator, words):
+        self._bit_generator = bit_generator
+        self._raw = memoryview(b"")  # the words drawn so far, little-endian
+        self._pos = 0  # index of the next unused word
+        self._extend(words)
+
+    def _extend(self, words):
+        raw = self._bit_generator.random_raw(-(-words // 2))
+        more = raw.astype("<u8", copy=False).view(np.uint8).data
+        self._raw = memoryview(bytes(self._raw) + more) if self._raw else more
+
+    def _take(self, words):
+        """The byte offset of the next `words` words, which are used up."""
+        short = self._pos + words - len(self._raw) // 4
+        if short > 0:
+            self._extend(short)
+        start = 4 * self._pos
+        self._pos += words
+        return start
+
+    def bounded(self, bound):
+        if bound == 1:
+            return 0
+        threshold = (1 << 32) % bound
+        while True:
+            s = self._take(1)
+            x = int.from_bytes(self._raw[s: s + 4], "little") * bound
+            if x & 0xFFFFFFFF >= threshold:
+                return x >> 32
+
+    def symbols(self, count):
+        s = self._take(-(-count // 4))
+        return bytes(self._raw[s: s + count]).translate(_TOP_BITS)
+
+
+def _chunk_words(k, m, size):
+    """The words one chunk of `size` candidates draws when no draw rejects a
+    word and every lift fails: a fresh A at j % 3 == 0, three scalar draws
+    at 1, and a lift and a fresh A at 2."""
+    fresh, lift = -(-k * m // 4), -(-(k + 1) * m // 4)
+    return -(-size // 3) * fresh + (size + 1) // 3 * 3 + size // 3 * (lift + fresh)
+
+
+def _chunk_candidates(bit_generator, k, m, size):
+    """The A of each of the `size` candidates [I | A] of one chunk, drawn
+    from the chunk's bit generator, as a (size, k, m) uint8 array.
+    Candidate j is a fresh A when j % 3 == 0; at 1 the fresh A just before
+    it with one entry set, whose value is drawn first, then its row and its
+    column; at 2 the lift [I | b] with k + 1 rows shortened on its first
+    hull pivot p, which is b without row p, or a fresh A when the lift's
+    hull is not 2-dimensional."""
+    draws = _Draws(bit_generator, _chunk_words(k, m, size))
+    step = k * m
+    out = bytearray(size * step)
+    for j in range(size):
+        at = j * step
+        mode = j % 3
+        if mode == 1:
+            value = draws.bounded(4)
+            row = draws.bounded(k)
+            out[at: at + step] = fresh
+            out[at + row * m + draws.bounded(m)] = value
+            continue
+        if mode == 2:
+            b = draws.symbols(step + m)
+            p = _lift_pivot(b, m)
+            if p is not None:
+                out[at: at + step] = b[: p * m] + b[(p + 1) * m:]
+                continue
+        fresh = draws.symbols(step)
+        out[at: at + step] = fresh
+    return np.frombuffer(out, dtype=np.uint8).reshape(size, k, m)
+
+
+def _stack_planes(stack):
+    """The 1-bit and the w-bit planes of the rows of a (S, k, m) stack of
+    symbols, as one (2, S, k, ceil(m / 8)) uint8 array, column j at bit
+    j % 8 of byte j // 8."""
+    return np.packbits(stack & gf4._PLANE_MASKS[..., None], axis=-1,
+                       bitorder="little")
+
+
+def _scale(c0, c1, a, b):
+    """(c0 + c1 w) * (a + b w) for 0/1 coefficients and row planes (a, b)."""
+    return c0 * a ^ c1 * b, c0 * b ^ c1 * (a ^ b)
+
+
+def _stack_hull_dims(lo, hi):
+    """The hull dimension of [I | A] for each A of a stack given by its
+    `_stack_planes`: the nullity of the Gram I + A conj(A)^T.
+
+    The Gram entries are popcount parities, as in
+    `gf4._hermitian_gram_planes`, and its rows are packed into two uint32
+    planes, column j at bit j.  All candidates are eliminated at once, one
+    column at a time: the pivot is the first row nonzero in the column, and
+    every row, the pivot included, takes away its entry times the pivot
+    scaled to 1, which leaves the pivot row zero.  The number of pivots is
+    the rank.  The pivot is the lowest set bit of a row mask rather than an
+    argmax: a compare, min or argmax loop would run here alone, and paging
+    its code in costs 128 KiB of peak memory each (see _POPCOUNT).
+    """
+    size, k = lo.shape[:2]
+    index = np.arange(k, dtype=np.uint32)
+    rows = np.uint32(1) << index
+    glo = np.zeros((size, k), dtype=np.uint32)
+    glo ^= rows  # the I block adds 1 on the diagonal
+    ghi = np.zeros((size, k), dtype=np.uint32)
+    for j in range(k):
+        # column j of the Gram, for every row at once
+        y0, y1 = lo[:, j: j + 1], hi[:, j: j + 1]
+        c0 = np.bitwise_xor.reduce((lo & (y0 ^ y1)) ^ (hi & y1), axis=-1)
+        c1 = np.bitwise_xor.reduce((lo & y1) ^ (hi & y0), axis=-1)
+        glo ^= (_POPCOUNT[c0] & 1) * rows[j]
+        ghi ^= (_POPCOUNT[c1] & 1) * rows[j]
+    used = np.zeros(size, dtype=np.uint32)  # bit i: row i was a pivot
+    for c in range(k):
+        e0 = glo >> c
+        e0 &= 1
+        e1 = ghi >> c
+        e1 &= 1
+        pick = e0 | e1
+        pick *= rows
+        first = pick.sum(axis=1, dtype=np.uint32)
+        # the lowest set bit of a mask x is x & (x ^ (x - 1)), 0 for x = 0
+        first &= first ^ (first - 1)
+        used |= first
+        np.right_shift(first[:, None], index, out=pick)
+        pick &= 1
+        a = (glo * pick).sum(axis=1, dtype=np.uint32)
+        b = (ghi * pick).sum(axis=1, dtype=np.uint32)
+        # scale the pivot row to 1 in column c: the inverse of a nonzero
+        # entry (p0, p1) is its conjugate (p0 ^ p1, p1)
+        p1 = b >> c & 1
+        a, b = _scale((a >> c & 1) ^ p1, p1, a, b)
+        a, b, ab = a[:, None], b[:, None], (a ^ b)[:, None]
+        # take entry * pivot away from every row
+        glo ^= e0 * a
+        glo ^= e1 * b
+        ghi ^= e0 * b
+        ghi ^= e1 * ab
+    return k - np.bitwise_count(used).astype(np.intp)
+
+
+def _stack_light(lo, hi):
+    """For each A of a stack given by its `_stack_planes`, the least weight
+    of a row of [I | A], 1 + wt(a_y), and of a sum y + c x of two of its
+    rows, 2 + wt(a_y + c a_x) for c in {1, w, w^2}: a list.
+
+    It bounds the distance of [I | A] from above, and for bound <= 3 it
+    also decides d < bound: a codeword of weight <= 2 has at most two
+    nonzero message symbols, so it is a multiple of a row or of some
+    y + c x.
+    """
+    k = lo.shape[1]
+    x = [i for j in range(k) for i in range(j)]
+    y = [j for j in range(k) for i in range(j)]
+    # c x has the planes (x0, x1), (x1, x0 ^ x1) and (x0 ^ x1, x0)
+    x0, x1, y0, y1 = lo[:, x], hi[:, x], lo[:, y], hi[:, y]
+    x2 = x0 ^ x1
+    words = np.concatenate([lo | hi, (y0 ^ x0) | (y1 ^ x1),
+                            (y0 ^ x1) | (y1 ^ x2), (y0 ^ x2) | (y1 ^ x0)],
+                           axis=1)
+    # the I block adds 1 to a row's weight and 2 to a sum's
+    offsets = np.array([1] * k + [2] * (3 * len(x)), dtype=np.uint32)
+    weights = _POPCOUNT[words].sum(axis=-1, dtype=np.uint32) + offsets
+    return [min(w.tolist()) for w in weights]
+
+
+def _screen(stack, bound):
+    """The candidates of a chunk's (S, k, m) stack that are hull-1 and whose
+    light weight (`_stack_light`) reaches bound, in chunk order: their A
+    bytes joined, and their light weights.  The kernels run on _SLICE
+    candidates at a time, and nothing of the stack outlives the call."""
+    kept, light = bytearray(), []
+    for s in range(0, len(stack), _SLICE):
+        lo, hi = _stack_planes(stack[s: s + _SLICE])
+        dims = _stack_hull_dims(lo, hi).tolist()
+        for j, weight in enumerate(_stack_light(lo, hi)):
+            if dims[j] == 1 and weight >= bound:
+                kept += stack[s + j].tobytes()
+                light.append(weight)
+    return kept, light
 
 
 def random_search(n, k, target_d, seed, budget):
     """Seeded randomized search for an [n, k] hull-1 code of distance
     >= target_d.
 
-    One loop over the budget: fresh samples [I | A], single-entry mutations
+    One pass over the budget: fresh samples [I | A], single-entry mutations
     of the last [I | A] drawn, and hull-2 shorten moves from length n + 1,
     in turn.  Every _RANDOM_CHUNK candidates it starts a new RNG stream,
     seeded with (seed, chunk index), so the same (seed, budget) always
     gives the same outcome.  The largest distance wins, ties going to the
     lexicographically least generator.
 
-    Candidates are row planes (lo, hi).  Besides the draws and the weights,
-    only the generator bytes of the tie-break make numpy calls.  Four exact
-    rejections come before the weights: a lift whose hull is not
-    2-dimensional (`_hull_lift`, on the smaller Gram), a candidate with a
-    light row or row pair (`_light`), a tie that cannot win once the best
-    distance reaches the Griesmer and sphere-packing ceiling, and a hull
-    dimension other than 1.  None of them changes a draw or the outcome.
+    A chunk is handled in three steps.  `_chunk_candidates` walks the
+    draws, decoded by `_Draws` from one raw buffer, and runs each lift's
+    hull-2 test (`_lift_pivot`, on the smaller Gram).  The stack of every
+    candidate's A then gets the hull-1 test and the light-codeword screen
+    in numpy, _SLICE candidates at a time (`_stack_hull_dims`,
+    `_stack_light`).  Last, in chunk order, a hull-1 candidate whose light
+    weight reaches the running best gets its weights (`_plane_weights`),
+    unless the best has reached min(Griesmer, sphere-packing), the largest
+    distance any [n, k] code can have, and its bytes are not below the
+    best's: then it could only tie.  Every generator shares the I block, so
+    comparing the bytes of A compares the generators.  No screen changes a
+    draw or the outcome.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -522,54 +717,35 @@ def random_search(n, k, target_d, seed, budget):
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
     if k > DEFAULT_ENUM_CAP:
         raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
+    m = n - k
     # no [n, k] code has a larger distance
     ceiling = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
-    best_d, best = 0, None  # best: the bytes of the best hull-1 generator
-    for t in range(budget):
-        j = t % _RANDOM_CHUNK
-        if j == 0:
-            rng = np.random.default_rng([seed, t // _RANDOM_CHUNK])
-        mode = j % 3
-        planes = None
-        if mode == 1:
-            # set one entry of A in the last [I | A]: its value is drawn
-            # first, then its row and its column
-            value = int(rng.integers(4))
-            i = int(rng.integers(k))
-            bit = 1 << (k + int(rng.integers(n - k)))
-            lo, hi = current[0][:], current[1][:]
-            lo[i] = lo[i] | bit if value & 1 else lo[i] & ~bit
-            hi[i] = hi[i] | bit if value & 2 else hi[i] & ~bit
-            planes = current = lo, hi
-        elif mode == 2:
-            planes = _hull_lift(rng.integers(0, 4, size=(k + 1, n - k), dtype=np.uint8))
-        if planes is None:
-            a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
-            planes = current = _systematic_planes(a)
-        if _light(*planes, best_d):
-            # a codeword with at most two nonzero message symbols is
-            # lighter than the running best
-            continue
-        tie_only = best_d >= ceiling
-        if tie_only:
-            # no candidate can beat the best, only tie with it
-            gen = gf4._planes_matrix(*planes, n).tobytes()
-            if gen >= best:
+    best_d, best = 0, None  # best: the bytes of A in the best hull-1 [I | A]
+    for start in range(0, budget, _RANDOM_CHUNK):
+        size = min(_RANDOM_CHUNK, budget - start)
+        rng = np.random.default_rng([seed, start // _RANDOM_CHUNK])
+        # the chunk is freed before its weights are enumerated
+        stack = _chunk_candidates(rng.bit_generator, k, m, size)
+        kept, light = _screen(stack, best_d)
+        del stack
+        for i, weight in enumerate(light):
+            if weight < best_d:
+                # a codeword with at most two nonzero message symbols is
+                # lighter than the best
                 continue
-        if _planes_hull_dim(*planes) != 1:
-            continue
-        counts = _plane_weights(*planes, n)
-        d = int(np.flatnonzero(counts[1:])[0]) + 1
-        if d < best_d:
-            continue
-        if not tie_only:
-            gen = gf4._planes_matrix(*planes, n).tobytes()
-        if d > best_d or gen < best:
-            best_d, best = d, gen
+            a = bytes(kept[i * k * m: (i + 1) * k * m])
+            if best_d >= ceiling and a >= best:
+                # no candidate can beat the best, only tie with it
+                continue
+            counts = _plane_weights(*_symbol_planes(a, k, m), n)
+            d = int(np.flatnonzero(counts[1:])[0]) + 1
+            if d > best_d or d == best_d and a < best:
+                best_d, best = d, a
     if best is None:
         return SearchOutcome(0, None, exhaustive=False, explored=budget)
     # a fresh object: nothing the loop computed is reused
-    code = LinearCode(np.frombuffer(best, dtype=np.uint8).reshape(k, n))
+    a = np.frombuffer(best, dtype=np.uint8).reshape(k, m)
+    code = LinearCode(np.hstack([np.eye(k, dtype=np.uint8), a]))
     dim = hull_dim(code)
     if dim != 1:
         raise AssertionError(f"randomized witness has hull dimension {dim}")

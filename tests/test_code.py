@@ -36,7 +36,7 @@ def test_from_generator_zero_matrix():
     with pytest.raises(ZeroMatrixError):
         LinearCode.from_generator(np.zeros((2, 3), dtype=np.uint8))
     with pytest.raises(ZeroMatrixError):
-        LinearCode.zero(3).min_distance()
+        LinearCode(np.zeros((0, 3), dtype=np.uint8)).min_distance()
 
 
 def test_init_leaves_callers_array_writable():
@@ -161,7 +161,7 @@ def test_hermitian_dual_involution(rng):
 def test_dual_of_even_repetition_contains_all_ones():
     c = repetition(4)
     dual = c.hermitian_dual()
-    assert dual.contains(np.ones(4, dtype=np.uint8))
+    assert (dual.codewords() == 1).all(axis=1).any()
 
 
 def test_dual_of_fixture_distance():
@@ -179,7 +179,7 @@ def test_dual_of_full_space_is_zero_code():
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_zero_code_weights(n):
     # k = 0 takes the general enumeration, which counts the zero word once
-    wd = LinearCode.zero(n).weight_distribution()
+    wd = LinearCode(np.zeros((0, n), dtype=np.uint8)).weight_distribution()
     assert wd.counts == (1,) + (0,) * n
 
 

@@ -13,16 +13,13 @@ from hullforge.construct import (
     fixture,
     fixture_names,
     multiplicity_generator,
-    remove_scalar_pair,
     simplex,
     simplex_length,
     simplex_matrix,
-    strip_simplex,
     verify_fixture,
 )
 from hullforge.exceptions import (
     DimensionTooSmallError,
-    DistanceTooSmallError,
     RankDeficientError,
     UnknownFixtureError,
 )
@@ -129,49 +126,21 @@ def test_extend_simplex_needs_k2():
 
 
 def test_strip_simplex_inverts_extension():
+    # the padding blocks come first: deleting their columns gives c back
     c = fixture("G_[7,3,4]").code()
     ext = extend_simplex(c, 1)
-    back = strip_simplex(ext, 1)
-    assert back == c
-
-
-def test_strip_simplex_distance_guard():
-    # d = 16 is not > 16, so one block cannot be stripped
-    c = fixture("G_[22,3,16]").code()
-    ext = extend_simplex(c, 0)
-    with pytest.raises(DistanceTooSmallError):
-        strip_simplex(ext, 1)
-    # two blocks of 16 would take all of d = 4 + 16
-    with pytest.raises(DistanceTooSmallError):
-        strip_simplex(extend_simplex(simplex(2), 1), 2)
+    assert ext.puncture(range(simplex_length(3))) == c
 
 
 def test_remove_scalar_pair():
+    # columns 0 and 2 are proportional (omega * e1); they add
+    # v conj(v)^T (1 + a conj(a)) = 0 to the Gram matrix, so deleting both
+    # keeps the hull dimension
     g = gf4.as_matrix([[1, 0, gf4.OMEGA, 1], [0, 1, 0, 0]])
     c = LinearCode.from_generator(g)
-    # columns 0 and 2 are proportional (omega * e1)
-    smaller = remove_scalar_pair(c)
-    assert smaller is not None
+    smaller = c.puncture({0, 2})
     assert smaller.n == 2
     assert hull_dim(smaller) == hull_dim(c)
-
-
-def test_remove_scalar_pair_none_when_absent():
-    assert remove_scalar_pair(simplex(2)) is None
-
-
-def test_remove_scalar_pair_two_zero_columns():
-    # two zero columns are proportional, so the pair is removed
-    g = gf4.as_matrix([[1, 0, 0, 1, 0], [0, 1, 0, 1, 0]])
-    smaller = remove_scalar_pair(LinearCode.from_generator(g))
-    assert smaller is not None
-    assert np.array_equal(smaller.generator, g[:, [0, 1, 3]])
-
-
-def test_remove_scalar_pair_single_zero_column():
-    # a zero column is proportional to no nonzero column
-    g = gf4.as_matrix([[1, 0, 0, 1], [0, 1, 0, 1]])
-    assert remove_scalar_pair(LinearCode.from_generator(g)) is None
 
 
 def test_remove_scalar_pair_preserves_hull(rng):
@@ -181,8 +150,7 @@ def test_remove_scalar_pair_preserves_hull(rng):
         if gf4.rank(g) < 3:
             continue
         c = LinearCode.from_generator(g)
-        smaller = remove_scalar_pair(c)
-        assert smaller is not None
+        smaller = c.puncture({2, 5})
         if smaller.k < c.k:
             # deleting the pair lost rank; the hull comparison needs equal k
             continue

@@ -9,7 +9,6 @@ from hullforge.hull import (
     HullClass,
     hull_dim,
     hull_information_set,
-    hull_of_shortening,
     hull_report,
     is_even,
 )
@@ -72,8 +71,8 @@ def test_hull_basis_lies_in_code_and_dual(rng):
         assert gf4.rank(rep.hull_basis) == rep.hull_dim
         dual = c.hermitian_dual()
         for row in rep.hull_basis:
-            assert c.contains(row)
-            assert dual.k == 0 or dual.contains(row)
+            assert (c.codewords() == row).all(axis=1).any()
+            assert dual.k == 0 or (dual.codewords() == row).all(axis=1).any()
 
 
 def test_hull_dim_matches_bruteforce_oracle(rng):
@@ -110,7 +109,7 @@ def test_even_weights_examples():
 
 
 def test_zero_code_is_even():
-    assert is_even(LinearCode.zero(4))
+    assert is_even(LinearCode(np.zeros((0, 4), dtype=np.uint8)))
 
 
 def test_hull_information_set():
@@ -126,14 +125,13 @@ def test_hull_of_shortening_bounds(rng):
         c = random_code(rng, 8, rng.integers(2, 6))
         h = hull_dim(c)
         i = int(rng.integers(c.n))
-        hp, hs = hull_of_shortening(c, {i})
-        assert abs(hp - h) <= 1
-        assert abs(hs - h) <= 1
+        assert abs(hull_dim(c.puncture({i})) - h) <= 1
+        assert abs(hull_dim(c.shorten({i})) - h) <= 1
 
 
 def test_hull_of_shortening_empty_set():
     c = fixture("G_[4,3,2]").code()
-    assert hull_of_shortening(c, set()) == (1, 1)
+    assert (hull_dim(c.puncture(set())), hull_dim(c.shorten(set()))) == (1, 1)
 
 
 def test_hull_one_shorten_on_hull_pivot(rng):
@@ -142,8 +140,8 @@ def test_hull_one_shorten_on_hull_pivot(rng):
     for name in ("G_[7,3,4]", "G_[9,3,6]", "G_[9,4,5]"):
         c = fixture(name).code()
         piv = hull_information_set(c)[0]
-        hp, hs = hull_of_shortening(c, {piv})
-        assert hp == 0 and hs == 0
+        assert hull_dim(c.puncture({piv})) == 0
+        assert hull_dim(c.shorten({piv})) == 0
 
 
 def test_dual_has_same_hull(rng):

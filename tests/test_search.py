@@ -454,7 +454,8 @@ def test_packed_candidates_match_numpy(rng):
         assert dim == hull_dim(LinearCode(g))
         hull_dims.add(dim)
     assert {0, 1, 2, 3} <= hull_dims
-    # the hull-2 lift against shortening [I | b] on its first hull pivot
+    # the hull-2 lift's pivot against the first hull pivot of [I | b],
+    # and b without row p against shortening [I | b] on p
     pivots = []
     branches = set()
     for _ in range(600):
@@ -464,12 +465,14 @@ def test_packed_candidates_match_numpy(rng):
         lifted = LinearCode(np.hstack([np.eye(k1, dtype=np.uint8), b]))
         want = None
         if hull_dim(lifted) == 2:
-            p = hull_information_set(lifted)[0]
-            want = gf4._row_planes(lifted.shorten({p}).generator)
-            pivots.append(p)
-        assert search._hull_lift(b) == want
+            want = hull_information_set(lifted)[0]
+            shortened = np.hstack([np.eye(k1 - 1, dtype=np.uint8),
+                                   np.delete(b, want, axis=0)])
+            assert np.array_equal(lifted.shorten({want}).generator, shortened)
+            pivots.append(want)
+        assert search._lift_pivot(b.tobytes(), m) == want
         if want is not None:
-            # a b wider than tall is tested on the Gram of [I | b^T] first
+            # b with fewer columns than rows is tested on [I | b^T] first
             branches.add(m < k1)
     assert len(pivots) >= 30 and max(pivots) >= 2
     assert branches == {False, True}
@@ -491,30 +494,134 @@ def test_hull_dim_of_transposed_systematic_matrix(rng):
 
 
 def test_light_screen_against_weights(rng):
-    # `_light` implies d < bound for every bound, and for a systematic
-    # generator it is exactly d < bound when bound <= 3
+    # the batched screen's light weight bounds d from above, so light <
+    # bound implies d < bound for every bound, and for a systematic
+    # generator it is exactly d < bound when bound <= 3; widths up to 40
+    # span several bytes of the packed planes.  In every other stack the
+    # last row is c times another plus at most one symbol, for c = 1, w, w^2
     seen = Counter()
-    for _ in range(300):
-        k, m = int(rng.integers(1, 8)), int(rng.integers(1, 9))
-        a = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
-        a[rng.random(a.shape) < rng.random()] = 0
-        planes = search._systematic_planes(a)
-        counts = search._plane_weights(*planes, k + m)
-        d = int(np.flatnonzero(counts[1:])[0]) + 1
-        for bound in range(k + m + 2):
-            light = search._light(*planes, bound)
-            if bound <= 3:
-                assert light == (d < bound), (a, bound)
-            elif light:
-                assert d < bound, (a, bound)
-            seen[bound <= 3, light, d < bound] += 1
-    assert seen[True, True, True] and seen[True, False, False]
-    assert seen[False, True, True]
+    for t in range(120):
+        k = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 9) if t % 3 else rng.integers(9, 41))
+        stack = rng.integers(0, 4, size=(4, k, m), dtype=np.uint8)
+        stack[rng.random(stack.shape) < rng.random()] = 0
+        if k > 1 and t % 2:
+            c = 1 + t // 2 % 3
+            stack[:, -1] = gf4.MUL[c, stack[:, int(rng.integers(k - 1))]]
+            stack[:, -1, int(rng.integers(m))] ^= np.uint8(t // 6 % 2)
+        light = search._stack_light(*search._stack_planes(stack))
+        assert len(light) == len(stack)
+        for a, weight in zip(stack, light):
+            counts = search._plane_weights(*search._systematic_planes(a), k + m)
+            d = int(np.flatnonzero(counts[1:])[0]) + 1
+            assert d <= weight, a
+            for bound in range(4):
+                assert (weight < bound) == (d < bound), (a, bound)
+            seen[min(d, 4), weight < 4] += 1
+    assert seen[1, True] and seen[2, True] and seen[3, True]
+    assert seen[4, False]
     # beyond 3 it can miss: here only the sum of all three rows has weight 3
     a = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
                  dtype=np.uint8)
     assert LinearCode(np.hstack([np.eye(3, dtype=np.uint8), a])).min_distance() == 3
-    assert not search._light(*search._systematic_planes(a), 4)
+    assert search._stack_light(*search._stack_planes(a[None])) == [4]
+
+
+def test_stack_hull_dims_match_numpy(rng):
+    # the batched hull test against hull.hull_dim for 1..15 rows, at widths
+    # that end inside, at and past the 64- and 128-bit boundaries
+    dims = Counter()
+    for r in range(1, 16):
+        for m in sorted({1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 140,
+                         int(rng.integers(1, 141))}):
+            stack = rng.integers(0, 4, size=(4, r, m), dtype=np.uint8)
+            # sparse A, down to all zeros, gives larger hulls
+            stack[rng.random(stack.shape) < rng.random() ** 0.3] = 0
+            got = search._stack_hull_dims(*search._stack_planes(stack)).tolist()
+            want = [hull_dim(LinearCode(np.hstack([np.eye(r, dtype=np.uint8), a])))
+                    for a in stack]
+            assert got == want, (r, m)
+            dims.update(want)
+    assert {0, 1, 2, 3} <= set(dims)
+
+
+class _CountingBits:
+    """A bit generator whose `random_raw` calls are counted."""
+
+    def __init__(self, bits, calls):
+        self.bits, self.calls = bits, calls
+
+    def random_raw(self, size):
+        self.calls["random_raw"] += 1
+        return self.bits.random_raw(size)
+
+
+class _Words:
+    """A bit generator stand-in whose 64-bit outputs carry the given 32-bit
+    words, the low half first."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        pairs = [self.words.pop(0) | self.words.pop(0) << 32 for _ in range(size)]
+        return np.array(pairs, dtype=np.uint64)
+
+
+def test_draws_match_generator_integers():
+    # the raw-word decoder against numpy's own draws, with first buffers
+    # of 1..50 words that the draws keep extending: scalar bounds 1..40,
+    # bounds just above 2^31 (where Lemire rejects about half the words),
+    # and uint8 arrays whose size is not a multiple of 4
+    shapes = [(k, m) for k in range(1, 9) for m in range(1, 11) if k * m % 4]
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 1])
+        draws = search._Draws(np.random.default_rng([seed, 1]).bit_generator,
+                              1 + seed % 50)
+        for t in range(24):
+            kind = (seed + t) % 4
+            if kind == 0:
+                k, m = shapes[(7 * seed + t) % len(shapes)]
+                want = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
+                assert draws.symbols(k * m) == want.tobytes(), (seed, t)
+            elif kind == 3 and t % 8 == 3:
+                bound = (1 << 31) + 1 + 977 * t
+                assert draws.bounded(bound) == int(rng.integers(bound)), (seed, t)
+            else:
+                bound = 1 + (13 * seed + 5 * t) % 40
+                assert draws.bounded(bound) == int(rng.integers(bound)), (seed, t)
+
+
+def test_draws_follow_lemire_on_given_words():
+    words = _Words([0, 0xC0000000, 0x80000000, 0x40000000,
+                    0x4080C0FF, 0xFFFFFF40, 0x99999999, 0])
+    draws = search._Draws(words, 2)
+    # bound 3 rejects x = 0 (x * 3 mod 2^32 = 0 < 2^32 mod 3 = 1) and takes
+    # the next word: 0xC0000000 * 3 >> 32 = 2
+    assert draws.bounded(3) == 2
+    assert draws.bounded(1) == 0  # takes no word
+    assert draws.bounded(2) == 1  # 0x80000000 * 2 >> 32
+    assert draws.bounded(4) == 1  # 0x40000000 * 4 >> 32
+    # uint8 draws: little-endian bytes, b >> 6, a fresh word for each call,
+    # so the three 0xFF bytes left after a 5-symbol draw are skipped
+    assert draws.symbols(5) == bytes([3, 3, 2, 1, 1])
+    assert draws.symbols(2) == bytes([2, 2])
+
+
+def test_chunk_walk_extends_a_short_buffer(monkeypatch):
+    # a first buffer of one word is extended by the draws that run past it,
+    # and the walk gives the candidates of a buffer sized for the chunk
+    for n, k in ((9, 5), (12, 6), (6, 1), (5, 4), (15, 7)):
+        m = n - k
+        calls = Counter()
+        full = search._chunk_candidates(
+            np.random.default_rng([7, 0]).bit_generator, k, m, 300)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_chunk_words", lambda k, m, size: 1)
+            short = search._chunk_candidates(_CountingBits(
+                np.random.default_rng([7, 0]).bit_generator, calls), k, m, 300)
+        assert np.array_equal(short, full)
+        assert calls["random_raw"] > 100, (n, k)
 
 
 # (n, k, seed, budget): k = 1..8 and n - k = 1..10 at equal parity, so lifts
@@ -542,8 +649,11 @@ def test_random_search_matches_oracle_loop():
 
 
 def test_random_search_rejection_counts(monkeypatch):
-    # the screens leave few candidates to the Gram and fewer to the weights;
-    # before them this search made 1,156 Grams and 182 enumerations
+    # the screens leave few candidates to the weights; the hull-1 test and
+    # the light screen run once per slice of 256, and a Gram is built in
+    # Python only for a lift: 682 tests on the smaller side, 43 on the row
+    # side.  Before the screens this search made 1,156 Grams and 182
+    # enumerations
     calls = Counter()
 
     def count(owner, name):
@@ -555,9 +665,12 @@ def test_random_search_rejection_counts(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(search, "_plane_weights")
+    count(search, "_stack_hull_dims")
+    count(search, "_stack_light")
     count(gf4, "_hermitian_gram_planes")
     random_search(9, 5, 4, seed=3, budget=2048)
-    assert calls == {"_plane_weights": 34, "_hermitian_gram_planes": 818}
+    assert calls == {"_plane_weights": 34, "_stack_hull_dims": 8,
+                     "_stack_light": 8, "_hermitian_gram_planes": 725}
 
 
 def test_random_search_without_hull_one_candidate():
@@ -566,15 +679,17 @@ def test_random_search_without_hull_one_candidate():
 
 
 def test_random_search_rechecks_witness_hull(monkeypatch):
-    # every candidate passes the packed hull test; the winner's real hull
+    # every candidate passes the batched hull test; the winner's real hull
     # is checked again on the numpy path
-    monkeypatch.setattr(search, "_planes_hull_dim", lambda lo, hi: 1)
+    monkeypatch.setattr(search, "_stack_hull_dims",
+                        lambda lo, hi: np.ones(len(lo), dtype=np.intp))
     with pytest.raises(AssertionError, match="hull dimension"):
         random_search(8, 4, 1, seed=0, budget=64)
 
 
 def test_random_search_evaluates_candidates_packed(monkeypatch):
-    # no candidate, lifts included, builds a LinearCode or calls the numpy
+    # each chunk draws once, raw words from its bit generator, and no
+    # candidate, lifts included, builds a LinearCode or calls the numpy
     # kernels: only the final re-check does, with one code and the matmul
     # of its Gram matrix
     calls = Counter()
@@ -591,8 +706,20 @@ def test_random_search_evaluates_candidates_packed(monkeypatch):
         count(gf4, name)
     count(hull, "hull_report")
     count(LinearCode, "__init__")
+    default_rng = np.random.default_rng
+
+    class Generator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            self.bit_generator = _CountingBits(self.rng.bit_generator, calls)
+
+        def integers(self, *args, **kwargs):
+            calls["integers"] += 1
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Generator)
     assert random_search(9, 5, 4, seed=3, budget=2048).witness is not None
-    assert calls == {"__init__": 1, "matmul": 1}
+    assert calls == {"__init__": 1, "matmul": 1, "random_raw": 2}
 
 
 def test_random_search_finds_known_cell():
