@@ -419,8 +419,11 @@ _LOW_BITS = 0x0101010101010101
 # temporaries, and the process's peak memory, small
 _SLICE = 256
 # the popcount of every byte.  numpy's uint8 popcount loop would run for
-# these kernels alone, and paging its code in costs 128 KiB of peak memory
-_POPCOUNT = np.bitwise_count(np.arange(256, dtype=np.uint64)).astype(np.uint8)
+# these kernels alone, and paging its code in costs 128 KiB of peak memory;
+# built without a numpy loop, which at import would page code in for every
+# command
+_POPCOUNT = np.frombuffer(bytes(bin(b).count("1") for b in range(256)),
+                          dtype=np.uint8)
 
 
 def _symbol_planes(raw, k, m):
