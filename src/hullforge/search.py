@@ -415,13 +415,15 @@ def certify_nonexistence(n, k, d):
 # at bit 56 + t; every partial product lands on its own bit, so nothing carries
 _GATHER = 0x0102040810204080
 _LOW_BITS = 0x0101010101010101
-# most candidates per call of the stack kernels, which keeps their
-# temporaries, and the process's peak memory, small
+# most candidates per call of the stack kernels, and most k * k * ceil(m / 8)
+# bytes of row pairs over a call's candidates, which bounds the light
+# screen's temporaries; both keep the process's peak memory small
 _SLICE = 256
-# the popcount of every byte.  numpy's uint8 popcount loop would run for
-# these kernels alone, and paging its code in costs 128 KiB of peak memory;
-# built without a numpy loop, which at import would page code in for every
-# command
+_SLICE_BYTES = 1 << 17
+# the popcount of every byte, for the kernels below: numpy's uint8 popcount
+# loop would run for them alone, and paging its code in costs 128 KiB of
+# peak memory.  Built in Python: a numpy loop run at import would page code
+# in for every command
 _POPCOUNT = np.frombuffer(bytes(bin(b).count("1") for b in range(256)),
                           dtype=np.uint8)
 
@@ -586,11 +588,6 @@ def _stack_planes(stack):
                        bitorder="little")
 
 
-def _scale(c0, c1, a, b):
-    """(c0 + c1 w) * (a + b w) for 0/1 coefficients and row planes (a, b)."""
-    return c0 * a ^ c1 * b, c0 * b ^ c1 * (a ^ b)
-
-
 def _stack_hull_dims(lo, hi):
     """The hull dimension of [I | A] for each A of a stack given by its
     `_stack_planes`: the nullity of the Gram I + A conj(A)^T.
@@ -634,10 +631,12 @@ def _stack_hull_dims(lo, hi):
         pick &= 1
         a = (glo * pick).sum(axis=1, dtype=np.uint32)
         b = (ghi * pick).sum(axis=1, dtype=np.uint32)
-        # scale the pivot row to 1 in column c: the inverse of a nonzero
-        # entry (p0, p1) is its conjugate (p0 ^ p1, p1)
-        p1 = b >> c & 1
-        a, b = _scale((a >> c & 1) ^ p1, p1, a, b)
+        # scale the pivot row to 1 in column c by the inverse of its entry
+        # (p0, p1), which is its conjugate (p0 ^ p1, p1); (c0 + c1 w) times
+        # (a + b w) has the planes (c0 a ^ c1 b, c0 b ^ c1 (a ^ b))
+        c1 = b >> c & 1
+        c0 = (a >> c & 1) ^ c1
+        a, b = c0 * a ^ c1 * b, c0 * b ^ c1 * (a ^ b)
         a, b, ab = a[:, None], b[:, None], (a ^ b)[:, None]
         # take entry * pivot away from every row
         glo ^= e0 * a
@@ -675,11 +674,14 @@ def _stack_light(lo, hi):
 def _screen(stack, bound):
     """The candidates of a chunk's (S, k, m) stack that are hull-1 and whose
     light weight (`_stack_light`) reaches bound, in chunk order: their A
-    bytes joined, and their light weights.  The kernels run on _SLICE
-    candidates at a time, and nothing of the stack outlives the call."""
+    bytes joined, and their light weights.  The kernels run on slices of
+    at most _SLICE candidates and _SLICE_BYTES, and nothing of the stack
+    outlives the call."""
+    size, k, m = stack.shape
+    step = max(1, min(_SLICE, _SLICE_BYTES // (k * k * -(-m // 8))))
     kept, light = bytearray(), []
-    for s in range(0, len(stack), _SLICE):
-        lo, hi = _stack_planes(stack[s: s + _SLICE])
+    for s in range(0, size, step):
+        lo, hi = _stack_planes(stack[s: s + step])
         dims = _stack_hull_dims(lo, hi).tolist()
         for j, weight in enumerate(_stack_light(lo, hi)):
             if dims[j] == 1 and weight >= bound:
@@ -703,7 +705,7 @@ def random_search(n, k, target_d, seed, budget):
     draws, decoded by `_Draws` from one raw buffer, and runs each lift's
     hull-2 test (`_lift_pivot`, on the smaller Gram).  The stack of every
     candidate's A then gets the hull-1 test and the light-codeword screen
-    in numpy, _SLICE candidates at a time (`_stack_hull_dims`,
+    in numpy, a slice of candidates at a time (`_stack_hull_dims`,
     `_stack_light`).  Last, in chunk order, a hull-1 candidate whose light
     weight reaches the running best gets its weights (`_plane_weights`),
     unless the best has reached min(Griesmer, sphere-packing), the largest

@@ -673,6 +673,15 @@ def test_random_search_rejection_counts(monkeypatch):
                      "_stack_light": 8, "_hermitian_gram_planes": 725}
 
 
+def test_random_search_slices_keep_the_outcome(monkeypatch):
+    # the screen's slices only bound its memory: capped to one candidate
+    # each, they give the same outcomes
+    runs = [(9, 5, 3, 700), (70, 4, 1, 300), (12, 6, 7, 500)]
+    want = [random_search(n, k, 1, seed=s, budget=b) for n, k, s, b in runs]
+    monkeypatch.setattr(search, "_SLICE_BYTES", 1)
+    assert [random_search(n, k, 1, seed=s, budget=b) for n, k, s, b in runs] == want
+
+
 def test_random_search_without_hull_one_candidate():
     # three candidates, none of them hull-1
     assert random_search(5, 4, 1, seed=0, budget=3) == SearchOutcome(0, None, False, 3)
