@@ -611,10 +611,10 @@ def _stack_hull_dims(lo, hi):
     for j in range(k):
         # column j of the Gram, for every row at once
         y0, y1 = lo[:, j: j + 1], hi[:, j: j + 1]
-        c0 = np.bitwise_xor.reduce((lo & (y0 ^ y1)) ^ (hi & y1), axis=-1)
-        c1 = np.bitwise_xor.reduce((lo & y1) ^ (hi & y0), axis=-1)
-        glo ^= (_POPCOUNT[c0] & 1) * rows[j]
-        ghi ^= (_POPCOUNT[c1] & 1) * rows[j]
+        g0 = np.bitwise_xor.reduce((lo & (y0 ^ y1)) ^ (hi & y1), axis=-1)
+        g1 = np.bitwise_xor.reduce((lo & y1) ^ (hi & y0), axis=-1)
+        glo ^= (_POPCOUNT[g0] & 1) * rows[j]
+        ghi ^= (_POPCOUNT[g1] & 1) * rows[j]
     used = np.zeros(size, dtype=np.uint32)  # bit i: row i was a pivot
     for c in range(k):
         e0 = glo >> c
