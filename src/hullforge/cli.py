@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, construct, eaqecc, gf4, matfmt, search, witnesses
-from .code import DEFAULT_ENUM_CAP, LinearCode
+from .code import LinearCode
 from .exceptions import BudgetExceededError, HullforgeError
 from .hull import hull_dim, hull_report
 
@@ -36,8 +36,6 @@ def build_parser():
     p_an.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_an.add_argument("--digits", action="store_true",
                       help="accept the 0123 input alphabet")
-    p_an.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                      help="dimension cap for codeword enumeration")
 
     p_se = sub.add_parser("search", help="search for a hull-1 code")
     p_se.add_argument("n", type=int)
@@ -57,10 +55,7 @@ def build_parser():
     p_ta.add_argument("--exhaustive-max-n", type=int, default=0,
                       help="settle k <= 3 cells up to this length by search")
 
-    p_ve = sub.add_parser("verify-paper",
-                          help="check fixtures and table reproductions")
-    p_ve.add_argument("--skip-table6", action="store_true",
-                      help="skip the EAQECC table (needs the witness corpus)")
+    sub.add_parser("verify-paper", help="check fixtures and table reproductions")
 
     return parser
 
@@ -68,7 +63,7 @@ def build_parser():
 # -- analyze ---------------------------------------------------------------
 
 
-def analysis_record(code: LinearCode, cap=DEFAULT_ENUM_CAP, with_eaqecc=False):
+def analysis_record(code: LinearCode, with_eaqecc=False):
     rep = hull_report(code)
     record = {
         "n": code.n,
@@ -81,11 +76,11 @@ def analysis_record(code: LinearCode, cap=DEFAULT_ENUM_CAP, with_eaqecc=False):
         "eaqecc": None,
     }
     try:
-        wd = code.weight_distribution(cap)
+        wd = code.weight_distribution()
         record["d"] = wd.min_nonzero_weight()
         record["weights"] = list(wd.counts)
         # None for a full-space code, whose dual is the zero code
-        record["dual_d"] = code.dual_weight_distribution(cap).min_nonzero_weight()
+        record["dual_d"] = code.dual_weight_distribution().min_nonzero_weight()
     except BudgetExceededError:
         pass
     if with_eaqecc and rep.hull_dim == 1:
@@ -116,14 +111,10 @@ def _emit_record(record, fmt, out):
 
 
 def cmd_analyze(args, out):
-    if not 0 <= args.cap <= DEFAULT_ENUM_CAP:
-        # a larger cap would start a 4^cap enumeration
-        print(f"error: need 0 <= --cap <= {DEFAULT_ENUM_CAP}", file=sys.stderr)
-        return EXIT_USAGE
     text = Path(args.path).read_text(encoding="ascii")
     matrix = matfmt.parse(text, digits=args.digits)
     code = LinearCode.from_generator(matrix)
-    record = analysis_record(code, cap=args.cap, with_eaqecc=args.eaqecc)
+    record = analysis_record(code, with_eaqecc=args.eaqecc)
     _emit_record(record, args.format, out)
     return EXIT_OK
 
@@ -287,19 +278,18 @@ def cmd_verify_paper(args, out):
     ok &= _check(out, "k=2 case table: hull dim in {0,2}, all-equal is SO",
                  table1_ok)
 
-    if not args.skip_table6:
-        table6_ok = True
-        bad = []
-        for n, k, expected in eaqecc.table6_cells():
-            try:
-                derived = eaqecc.table6_entry(n, k)
-            except HullforgeError as exc:
-                derived = f"error: {exc}"
-            if derived != expected:
-                table6_ok = False
-                bad.append((n, k, derived, expected))
-        ok &= _check(out, "EAQECC table n<=12 from stored witnesses",
-                     table6_ok, f"mismatches: {bad}")
+    table6_ok = True
+    bad = []
+    for n, k, expected in eaqecc.table6_cells():
+        try:
+            derived = eaqecc.table6_entry(n, k)
+        except HullforgeError as exc:
+            derived = f"error: {exc}"
+        if derived != expected:
+            table6_ok = False
+            bad.append((n, k, derived, expected))
+    ok &= _check(out, "EAQECC table n<=12 from stored witnesses",
+                 table6_ok, f"mismatches: {bad}")
 
     out.write("verification " + ("passed" if ok else "FAILED") + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH

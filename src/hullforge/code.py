@@ -1,13 +1,15 @@
 """The [n,k,d] quaternary linear code abstraction.
 
 Weight data come from one exhaustive codeword enumeration per code, on the
-side whose dimension is within the cap (DEFAULT_ENUM_CAP): the code itself
-when k <= cap, else its Hermitian dual when n - k <= cap.  Above one block
+side whose dimension is within the one enumeration cap DEFAULT_ENUM_CAP =
+14, which no caller sets: the code itself when k <= 14, else its Hermitian
+dual when n - k <= 14, else BudgetExceededError.  Above one block
 (k > _BLOCK_K) the smaller side is enumerated: the dual when n - k < k, so
 a high-rate code costs 4^(n - k) words, not 4^k.  The other side
 follows from the exact MacWilliams transform (`macwilliams`); the Hermitian
 dual is the conjugate of the Euclidean dual, so both duals have the same
-weights.  Generators are uint8 arrays holding one symbol per byte, kept in
+weights.  They depend on the generator alone, so a code keeps them once
+computed.  Generators are uint8 arrays holding one symbol per byte, kept in
 RREF so equality checks and serialization are deterministic; column order is
 never changed.  One step turns rows into a code, `_row_space`: the RREF
 without its zero rows, the zero code when none is left; `from_generator`,
@@ -96,40 +98,44 @@ class LinearCode:
 
     # -- weight data -------------------------------------------------------
 
-    def weight_distribution(self, cap=DEFAULT_ENUM_CAP):
-        """A_0..A_n, enumerated when k <= cap, else transformed from the
-        enumerated Hermitian dual; also from the dual when it is the
-        smaller side (n - k < k) and k exceeds one block (_BLOCK_K), where
-        building the dual costs less than the passes it saves.
-        BudgetExceededError when both k and n - k exceed the cap."""
+    def weight_distribution(self):
+        """A_0..A_n, enumerated when k <= DEFAULT_ENUM_CAP, else transformed
+        from the enumerated Hermitian dual; also from the dual when it is
+        the smaller side (n - k < k) and k exceeds one block (_BLOCK_K),
+        where building the dual costs less than the passes it saves.
+        BudgetExceededError, raised before any dual is built, when both k
+        and n - k exceed DEFAULT_ENUM_CAP."""
         if self._weights is None:
-            dual_side = self.k > cap or (self.k > _BLOCK_K
-                                         and self.n - self.k < self.k)
+            dual_side = self.k > DEFAULT_ENUM_CAP or (
+                self.k > _BLOCK_K and self.n - self.k < self.k)
             if not dual_side:
                 self._weights = WeightDistribution(self._count_weights())
-            elif self.n - self.k <= cap:
-                self._dual_weights = self.hermitian_dual().weight_distribution(cap)
+            elif self.n - self.k <= DEFAULT_ENUM_CAP:
+                self._dual_weights = self.hermitian_dual().weight_distribution()
                 self._weights = macwilliams(self._dual_weights.counts,
                                             self.n - self.k)
             else:
                 raise BudgetExceededError(
                     f"k={self.k} and n-k={self.n - self.k} both exceed the "
-                    f"enumeration cap {cap}"
+                    f"enumeration cap {DEFAULT_ENUM_CAP}"
                 )
         return self._weights
 
-    def dual_weight_distribution(self, cap=DEFAULT_ENUM_CAP):
+    def dual_weight_distribution(self):
         """B_0..B_n of the Hermitian dual, from the same single enumeration
-        as weight_distribution(cap); B = (1, 0, ..., 0) when k = n."""
+        as weight_distribution(), and BudgetExceededError where it raises;
+        B = (1, 0, ..., 0) when k = n."""
         if self._dual_weights is None:
-            self._dual_weights = macwilliams(self.weight_distribution(cap).counts,
+            self._dual_weights = macwilliams(self.weight_distribution().counts,
                                              self.k)
         return self._dual_weights
 
-    def min_distance(self, cap=DEFAULT_ENUM_CAP):
+    def min_distance(self):
+        """The least nonzero weight of weight_distribution(), with its
+        BudgetExceededError; ZeroMatrixError for the zero code."""
         if self.k == 0:
             raise ZeroMatrixError("the zero code has no minimum distance")
-        return self.weight_distribution(cap).min_nonzero_weight()
+        return self.weight_distribution().min_nonzero_weight()
 
     def _count_weights(self):
         return _plane_weights(*gf4._row_planes(self.generator), self.n)

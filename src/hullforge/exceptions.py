@@ -10,7 +10,7 @@ class ZeroMatrixError(HullforgeError):
 
 
 class BudgetExceededError(HullforgeError):
-    """Codeword enumeration would exceed the configured dimension cap."""
+    """Codeword enumeration would exceed the fixed cap, code.DEFAULT_ENUM_CAP."""
 
 
 class InvalidWeightsError(HullforgeError):

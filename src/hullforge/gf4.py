@@ -36,18 +36,6 @@ MUL = np.array(
 CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
 
 
-def add(a, b):
-    return a ^ b
-
-
-def mul(a, b):
-    return int(MUL[a, b])
-
-
-def conj(a):
-    return int(CONJ[a])
-
-
 def as_matrix(rows):
     """Build a uint8 GF(4) matrix from nested lists (or pass arrays through)."""
     m = np.asarray(rows, dtype=np.uint8)

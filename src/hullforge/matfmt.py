@@ -72,11 +72,6 @@ def render(matrix, comment=None):
     return "\n".join(out) + "\n"
 
 
-def load(path, digits=False):
-    with open(path, encoding="ascii") as fh:
-        return parse(fh.read(), digits=digits)
-
-
 def save(path, matrix, comment=None):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(render(matrix, comment=comment))

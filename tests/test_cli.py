@@ -1,5 +1,8 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hullforge import bounds, cli, eaqecc, matfmt
 from hullforge.cli import main
 from hullforge.code import LinearCode
 from hullforge.construct import fixture, simplex_matrix
-from hullforge.exceptions import OutOfRangeError
+from hullforge.exceptions import BudgetExceededError, OutOfRangeError
 
 
 @pytest.fixture
@@ -270,20 +273,41 @@ def test_search_k1_target_d_witness(capsys):
     assert captured.out == "witness found (exhaustive), d = 6\n7 1\n1 1 1 1 1 1 0\n"
 
 
-@pytest.mark.parametrize("cap", ["-1", "15", "20"])
-def test_analyze_rejects_cap_out_of_range(fixture_file, capsys, cap):
-    # --cap 20 on a [40,20] code would start a 4^20 enumeration
-    status, captured = run(capsys, "analyze", str(fixture_file), "--cap", cap)
-    assert status == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "--cap" in captured.err
-
-
-@pytest.mark.parametrize("cap, d", [("0", "None"), ("14", "5")])
-def test_analyze_accepts_cap_bounds(fixture_file, capsys, cap, d):
-    status, captured = run(capsys, "analyze", str(fixture_file), "--cap", cap)
+def test_analyze_unknown_distances(tmp_path, capsys, monkeypatch):
+    # [I | A] with k = n - k = 15: both sides exceed the enumeration cap,
+    # so neither distance is known; seed 1 gives hull dimension 1
+    a = np.random.default_rng(1).integers(0, 4, size=(15, 15), dtype=np.uint8)
+    path = tmp_path / "G30.g4m"
+    matfmt.save(path, np.hstack([np.eye(15, dtype=np.uint8), a]))
+    status, captured = run(capsys, "analyze", str(path), "--eaqecc")
     assert status == 0
-    assert captured.out.startswith(f"[9,4,{d}] code")
+    assert captured.out == (
+        "[30,15,None] code, dual distance None, hull dimension 1 (proper)\n"
+        "EAQECC pair: [[30,14,?;14]] and [[30,14,?;14]]\n")
+    status, captured = run(capsys, "analyze", str(path), "--eaqecc",
+                           "--format", "json")
+    assert status == 0
+    record = json.loads(captured.out)
+    assert (record["d"], record["dual_d"], record["weights"]) == (None, None, None)
+    # the budget error comes before the dual is built
+    duals = []
+    monkeypatch.setattr(LinearCode, "hermitian_dual",
+                        lambda self: duals.append(self))
+    code = LinearCode.from_generator(matfmt.parse(path.read_text()))
+    with pytest.raises(BudgetExceededError):
+        code.weight_distribution()
+    assert duals == []
+
+
+def test_removed_flags_exit_2(fixture_file, capsys):
+    # the enumeration cap is fixed in code.py, and verify-paper always checks
+    # the EAQECC table against the installed witness corpus
+    for argv in (["analyze", str(fixture_file), "--cap", "3"],
+                 ["verify-paper", "--skip-table6"]):
+        status, captured = run(capsys, *argv)
+        assert status == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 def test_table_stdout(capsys):
@@ -333,12 +357,6 @@ def test_verify_paper(capsys):
     assert status == 0
     assert "verification passed" in captured.out
     assert "[FAIL]" not in captured.out
-
-
-def test_verify_paper_skip_table6(capsys):
-    status, captured = run(capsys, "verify-paper", "--skip-table6")
-    assert status == 0
-    assert "EAQECC table" not in captured.out
 
 
 def test_verify_paper_reports_table6_mismatch(capsys, monkeypatch):
@@ -393,3 +411,46 @@ def test_verify_paper_reports_table6_error(capsys, monkeypatch):
     monkeypatch.setattr(eaqecc, "table6_entry", failing)
     out = _verify_paper_fails(capsys, "EAQECC table")
     assert "(10, 6, 'error: no stored witness', (3, 2))" in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _parser_options():
+    """{(subcommand, --flag)} for every option of `cli.build_parser()`."""
+    options = set()
+    for action in cli.build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                options |= {(name, flag) for a in sub._actions
+                            if not isinstance(a, argparse._HelpAction)
+                            for flag in a.option_strings}
+    return options
+
+
+def _readme_options():
+    """{(subcommand, --flag)} named in README's CLI section, which writes
+    each flag after its subcommand: one `hullforge <sub> ...` line of a code
+    block, or one inline span `<sub> --flag`.  A flag named anywhere else in
+    the section is returned with subcommand None."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    mentions = [line.split(" #")[0] for block in fence.findall(section)
+                for line in block.splitlines()]
+    mentions += re.findall(r"`([^`\n]+)`", fence.sub("", section))
+    named = set()
+    for mention in mentions:
+        words = mention.split()
+        if words[:1] == ["hullforge"]:
+            words = words[1:]
+        named |= {(words[0], w) for w in words[1:] if w.startswith("--")}
+    anywhere = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    return named | {(None, f) for f in anywhere - {f for _, f in named}}
+
+
+def test_readme_names_exactly_the_parser_options():
+    # a flag the docs name must be accepted by its subcommand, so docs that
+    # still name a removed flag fail here; every option must be documented
+    documented, accepted = _readme_options(), _parser_options()
+    assert documented - accepted == set()
+    assert accepted - documented == set()

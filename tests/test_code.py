@@ -303,14 +303,17 @@ def test_macwilliams_matches_enumerated_dual():
         enumerated = tuple(dual._count_weights())
         assert got == enumerated, (c.n, c.k)
         if c.n - dual.k < dual.k:
-            # k > cap >= n - k: enumerate the dual of the dual, which is c,
-            # and transform back
+            # the smaller side is c: above one block (k > _BLOCK_K) a fresh
+            # copy of the dual enumerates c and transforms back
             fresh = LinearCode(dual.generator)
-            assert fresh.weight_distribution(cap=dual.k - 1).counts == enumerated
+            assert fresh.weight_distribution().counts == enumerated
     # the simplex [85,4,64] and its Hamming dual [85,81,3]
     hamming = simplex(4).dual_weight_distribution()
     assert hamming.counts[:4] == _dual_weights_by_syndrome(simplex(4).generator, 3)
     assert hamming.min_nonzero_weight() == 3
+    # k = 81 exceeds the cap: the Hamming code is weighed through its
+    # enumerated simplex dual
+    assert simplex(4).hermitian_dual().weight_distribution() == hamming
     # a full-space code: the dual is the zero code
     full = LinearCode.from_generator(np.eye(3, dtype=np.uint8))
     assert full.dual_weight_distribution().counts == (1, 0, 0, 0)

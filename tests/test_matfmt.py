@@ -68,6 +68,6 @@ def test_load_save_round_trip(tmp_path, rng):
     m = rng.integers(0, 4, size=(2, 5), dtype=np.uint8)
     path = tmp_path / "m.g4m"
     matfmt.save(path, m, comment="test")
-    assert np.array_equal(matfmt.load(path), m)
+    assert np.array_equal(matfmt.parse(path.read_text()), m)
     raw = path.read_bytes()
     assert b"\r" not in raw
