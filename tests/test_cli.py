@@ -299,15 +299,23 @@ def test_analyze_unknown_distances(tmp_path, capsys, monkeypatch):
     assert duals == []
 
 
-def test_removed_flags_exit_2(fixture_file, capsys):
-    # the enumeration cap is fixed in code.py, and verify-paper always checks
-    # the EAQECC table against the installed witness corpus
-    for argv in (["analyze", str(fixture_file), "--cap", "3"],
-                 ["verify-paper", "--skip-table6"]):
-        status, captured = run(capsys, *argv)
-        assert status == 2
-        assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+@pytest.mark.parametrize("cap", ["-1", "3", "15", "20"])
+def test_analyze_rejects_cap_out_of_range(fixture_file, capsys, cap):
+    # the enumeration cap is fixed in code.py, so analyze takes no --cap at all
+    status, captured = run(capsys, "analyze", str(fixture_file), "--cap", cap)
+    assert status == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err and "--cap" in captured.err
+
+
+def test_verify_paper_skip_table6(capsys):
+    # verify-paper always checks the EAQECC table against the installed
+    # witness corpus, so --skip-table6 is no longer accepted
+    status, captured = run(capsys, "verify-paper", "--skip-table6")
+    assert status == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "--skip-table6" in captured.err
 
 
 def test_table_stdout(capsys):
