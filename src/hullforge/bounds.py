@@ -6,26 +6,19 @@ The n <= 12 table is stored literally because it is not derivable from the
 closed forms alone.
 """
 
-import enum
 from dataclasses import dataclass
 from math import comb
 
 from .exceptions import OutOfRangeError
 
 
-class DhKind(enum.Enum):
-    EXACT = "exact"
-    LOWER_BOUND = "lower_bound"
-
-
 @dataclass(frozen=True)
 class DhValue:
-    kind: DhKind
-    d: int
+    """A largest hull-1 distance d; exact is False when d is only a lower
+    bound (the open residue n = 21s + 5 of dimension 3)."""
 
-    @property
-    def exact(self):
-        return self.kind is DhKind.EXACT
+    d: int
+    exact: bool
 
 
 def griesmer_holds(n, k, d):
@@ -109,9 +102,9 @@ def k3_value(n):
     offset = _K3_OFFSET[t]
     if offset is None:
         if n in _K3_RESIDUE5_EXACT:
-            return DhValue(DhKind.EXACT, _K3_RESIDUE5_EXACT[n])
-        return DhValue(DhKind.LOWER_BOUND, 16 * s + 2)
-    return DhValue(DhKind.EXACT, 16 * s + offset)
+            return DhValue(_K3_RESIDUE5_EXACT[n], True)
+        return DhValue(16 * s + 2, False)
+    return DhValue(16 * s + offset, True)
 
 
 def dh_closed_form(n, k):
@@ -123,16 +116,16 @@ def dh_closed_form(n, k):
     if n < 2 or not 1 <= k <= n:
         return None
     if k == 1:
-        return DhValue(DhKind.EXACT, n if n % 2 == 0 else n - 1)
+        return DhValue(n if n % 2 == 0 else n - 1, True)
     if k == n - 1:
-        return DhValue(DhKind.EXACT, 2 if n % 2 == 0 else 1)
+        return DhValue(2 if n % 2 == 0 else 1, True)
     if k == 2 and n >= 3:
         base = 4 * n // 5
-        return DhValue(DhKind.EXACT, base - 1 if n % 5 in (0, 3) else base)
+        return DhValue(base - 1 if n % 5 in (0, 3) else base, True)
     if k == 3 and n >= 4:
         return k3_value(n)
     if k == n - 2 and n >= 3:
-        return DhValue(DhKind.EXACT, 3 if n == 4 else 2)
+        return DhValue(3 if n == 4 else 2, True)
     if k == n - 3 and n >= 4:
         if n == 4:
             d = 4
@@ -140,7 +133,7 @@ def dh_closed_form(n, k):
             d = 3
         else:
             d = 2
-        return DhValue(DhKind.EXACT, d)
+        return DhValue(d, True)
     return None
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bounds, construct, eaqecc, gf4, matfmt, search, witnesses
+from . import bounds, construct, eaqecc, gf4, matfmt, search
 from .code import LinearCode
 from .exceptions import BudgetExceededError, HullforgeError
 from .hull import hull_dim, hull_report
@@ -181,12 +181,18 @@ def cmd_search(args, out):
 
 
 def table_cells(max_n, only_k=None, exhaustive_max_n=0):
-    """Cells of the hull-1 distance table with method tags."""
+    """Cells of the hull-1 distance table for 2 <= n <= max_n and 1 <= k < n
+    (or k = only_k alone), tagged by method: "exhaustive" (settled by search
+    up to exhaustive_max_n), "formula" or "bound" (`bounds.dh_closed_form`),
+    or "witness" (the n <= 12 table in `bounds`, each cell backed by a stored
+    witness code).  Cells with no source are left out."""
     cells = []
     for n in range(2, max_n + 1):
-        for k in range(1, n):
-            if only_k is not None and k != only_k:
-                continue
+        if only_k is None:
+            ks = range(1, n)
+        else:
+            ks = [only_k] if 1 <= only_k < n else []
+        for k in ks:
             cell = _table_cell(n, k, exhaustive_max_n)
             if cell is not None:
                 cells.append(cell)
@@ -202,13 +208,7 @@ def _table_cell(n, k, exhaustive_max_n):
         method = "formula" if value.exact else "bound"
         return {"n": n, "k": k, "d": value.d, "method": method}
     if n <= 12:
-        d = bounds.table5_lookup(n, k)
-        try:
-            witnesses.claimed_distance(n, k)
-            method = "witness"
-        except HullforgeError:
-            method = "paper"
-        return {"n": n, "k": k, "d": d, "method": method}
+        return {"n": n, "k": k, "d": bounds.table5_lookup(n, k), "method": "witness"}
     return None
 
 

@@ -17,7 +17,7 @@ with no numpy call.
 
 import numpy as np
 
-ZERO, ONE, OMEGA, OMEGA2 = 0, 1, 2, 3
+OMEGA, OMEGA2 = 2, 3
 
 SYMBOLS = "01wW"
 
@@ -44,11 +44,6 @@ def as_matrix(rows):
     if m.size and m.max() > 3:
         raise ValueError("entries must be in 0..3")
     return m
-
-
-def scale_row(c, row):
-    """c * row, elementwise."""
-    return MUL[c, row]
 
 
 def matmul(a, b):

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hullforge.bounds import (
-    DhKind,
     dh_closed_form,
     griesmer_holds,
     griesmer_max_d,
@@ -116,7 +115,7 @@ def test_k3_open_residue():
     assert k3_value(5).exact and k3_value(5).d == 2
     assert k3_value(26).exact and k3_value(26).d == 18
     v = k3_value(47)  # 21*2 + 5, unsettled
-    assert v.kind is DhKind.LOWER_BOUND and v.d == 34
+    assert v.exact is False and v.d == 34
 
 
 def test_k3_range_check():

@@ -349,6 +349,36 @@ def test_table_leaves_out_cells_without_a_source(capsys):
     assert {(13, k) for k in range(1, 13)} - cells == {(13, k) for k in range(4, 10)}
 
 
+def test_table_method_tags(capsys):
+    status, captured = run(capsys, "table", "--max-n", "12")
+    assert status == 0
+    methods = [r[4] for r in csv.reader(captured.out.splitlines()[1:])]
+    assert (methods.count("formula"), methods.count("witness")) == (51, 15)
+    assert len(methods) == 66
+
+
+def test_table_k_visits_only_that_k(capsys, monkeypatch):
+    calls = []
+    cell = cli._table_cell
+
+    def counting(n, k, exhaustive_max_n):
+        calls.append((n, k))
+        return cell(n, k, exhaustive_max_n)
+
+    monkeypatch.setattr(cli, "_table_cell", counting)
+    status, _ = run(capsys, "table", "--max-n", "50", "--k", "3")
+    assert status == 0
+    assert calls == [(n, 3) for n in range(4, 51)]
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "12", "13"])
+def test_table_k_out_of_range_prints_header_only(capsys, k):
+    status, captured = run(capsys, "table", "--max-n", "12", "--k", k)
+    assert status == 0
+    assert captured.out == "n,k,d,hull_dim,method\r\n"
+    assert captured.err == ""
+
+
 def test_table_exhaustive_and_files(tmp_path, capsys):
     prefix = str(tmp_path / "table")
     status, captured = run(capsys, "table", "--max-n", "8", "--k", "2",

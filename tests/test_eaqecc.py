@@ -1,8 +1,11 @@
+from importlib import resources
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hullforge import witnesses
-from hullforge.bounds import table5_lookup
+from hullforge.bounds import table5_cells, table5_lookup
 from hullforge.code import LinearCode
 from hullforge.construct import fixture
 from hullforge.eaqecc import (
@@ -85,18 +88,37 @@ def test_table6_entry_out_of_range():
         table6_entry(12, 11)
 
 
+def _witness_root():
+    return resources.files("hullforge").joinpath("data/witnesses")
+
+
 def test_witness_registry_complete():
-    cells = {(n, k + 1) for n, k, _ in table6_cells()}
-    assert set(witnesses.available()) >= cells
-    for n, k in sorted(cells):
-        assert witnesses.claimed_distance(n, k) == table5_lookup(n, k)
+    # one W_[n,k,d].g4m per cell of the n <= 12 table, none extra, and the d
+    # in each name is the table's distance
+    names = {entry.name for entry in _witness_root().iterdir()}
+    assert names == {f"W_[{n},{k},{table5_lookup(n, k)}].g4m"
+                     for n, k, _ in table5_cells()}
+    assert len(names) == 66
 
 
 def test_witness_out_of_range():
     with pytest.raises(OutOfRangeError):
         witnesses.witness(40, 2)
+
+
+def test_witness_ambiguous_cell(tmp_path, monkeypatch):
+    # a second file for the same (n, k) makes the lookup refuse both
+    root = tmp_path / "data/witnesses"
+    root.mkdir(parents=True)
+    text = _witness_root().joinpath("W_[10,4,5].g4m").read_text(encoding="ascii")
+    (root / "W_[10,4,5].g4m").write_text(text, encoding="ascii")
+    monkeypatch.setattr(witnesses, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    lookup = witnesses.witness.__wrapped__  # past the per-cell cache
+    assert (lookup(10, 4).n, lookup(10, 4).k) == (10, 4)
+    (root / "W_[10,4,6].g4m").write_text(text, encoding="ascii")
     with pytest.raises(OutOfRangeError):
-        witnesses.claimed_distance(40, 2)
+        lookup(10, 4)
 
 
 def test_table6_cell_of_the_readme_note():

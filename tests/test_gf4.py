@@ -116,7 +116,7 @@ def test_rank_invariant_under_row_ops(m, pyrandom):
     perm = list(range(m.shape[0]))
     pyrandom.shuffle(perm)
     scaled = np.array(
-        [gf4.scale_row(pyrandom.choice([1, 2, 3]), m[i]) for i in perm],
+        [gf4.MUL[pyrandom.choice([1, 2, 3]), m[i]] for i in perm],
         dtype=np.uint8,
     )
     assert gf4.rank(scaled) == gf4.rank(m)
