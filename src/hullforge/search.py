@@ -7,8 +7,11 @@ multiplicities m_i, so enumerating m with column-count pruning is a complete
 search over that class.  Codes with a zero column (dual distance 1) are
 covered by the result at length n - 1; the lengths k..n are solved bottom-up.
 The walk is a DFS on packed Python ints over the leading columns; each node
-it reaches at a fixed depth is settled by one numpy evaluation over a table
-of every completion of the remaining columns, in the DFS's own order.
+it reaches at a fixed depth is settled over a table of every completion of
+the remaining columns, in the DFS's own order, by ANDing one row bitset per
+projective class: bit r of a class's bitset says that row r lifts that
+class's weight to the bound, so the AND holds exactly the rows that lift
+every class.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
 pass over the budget, with one running best, that starts a new RNG stream
@@ -37,8 +40,10 @@ Both engines re-check their witness with explicit raises, so the checks
 survive `python -O`.
 """
 
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, getitem
 
 import numpy as np
 
@@ -57,6 +62,8 @@ from .hull import hull_dim
 _RANDOM_CHUNK = 1024
 # most rows, width**span, in one settled-subtree table of the k <= 3 DFS
 _TABLE_ROWS = 1024
+# the struct code of an unsigned little-endian weight lane of each width
+_LANE_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,9 @@ class _ProjectiveGeometry:
     matrix into one int of 2k rows of k bits (`gram_bits`): the lo planes of
     its rows as `gf4._hermitian_gram_planes` returns them, then the hi
     planes, which `gram_rank` slices back into the rows of
-    `gf4._eliminate`.  Its completion tables take the lane sums of their
-    rows from `incidence` and `suffix` as numpy integers of the same
-    `bits`, so that a packed weight and a table row line up lane for lane,
-    and XOR the same `gram_bits`.
+    `gf4._eliminate`.  `columns(bits)` packs the incidence and suffix
+    columns once per lane width, and its `struct.Struct` reads a packed
+    weight back as one Python int per lane.
     """
 
     def __init__(self, k):
@@ -119,6 +125,21 @@ class _ProjectiveGeometry:
         # incidence column suffix sums, for distance pruning
         self.suffix = np.zeros((self.length, self.length + 1), dtype=np.int64)
         self.suffix[:, :-1] = np.cumsum(self.incidence[:, ::-1], axis=1)[:, ::-1]
+        self._columns = {}  # bits -> columns(bits)
+
+    def columns(self, bits):
+        """The incidence columns, the suffix columns and the all-ones
+        vector, each packed into `bits`-bit lanes, and the `struct.Struct`
+        that unpacks the lanes of such an int's `to_bytes`."""
+        found = self._columns.get(bits)
+        if found is None:
+            found = self._columns[bits] = (
+                [self.pack(self.incidence[:, i], bits) for i in range(self.length)],
+                [self.pack(self.suffix[:, i], bits) for i in range(self.length + 1)],
+                self.pack([1] * self.length, bits),
+                struct.Struct(f"<{self.length}{_LANE_CODES[bits]}"),
+            )
+        return found
 
     @staticmethod
     def pack(values, bits):
@@ -175,18 +196,29 @@ def _enumerate_multiplicities(n, k, d):
     "every weight >= d" is one mask test against `high`.  `bits` grows with
     n so that no lane, even with the maxed-out suffix and the bias added,
     carries into the next, and is rounded up to 16, 32 or 64, so that one
-    `to_bytes` and `np.frombuffer` read a packed weight as numpy lanes.
+    `to_bytes` and one `struct` unpack read a packed weight as Python ints.
 
-    Each node the DFS reaches at cut = length - span is settled by one
-    numpy evaluation over the table of its remaining sum: every completion
-    (m_cut..m_last), in the DFS's own value order, with its lane sums
-    through last - 2 plus the maxed-out last two columns, its lane sums
-    through last, and its Gram parity XOR.  The rows that pass the deepest
-    prune are the vectors examined, and the witness is the first of them
-    whose weights all reach d and whose Gram matrix, ranked only then, has
-    rank k - 1.  `span` is the largest value with
-    width^span <= _TABLE_ROWS, width = upper - lower + 1, but at least 2
-    and at most length; the tables are freed on return.
+    Each node the DFS reaches at cut = length - span is settled over the
+    table of its remaining sum: every completion (m_cut..m_last), in the
+    DFS's own value order, with its lane sums through last - 2 plus the
+    maxed-out last two columns (the deepest prune), its lane sums through
+    last, and its Gram parity XOR.  A table of R rows keeps, per class x,
+    a dict from the prefix weight W_x to one int: bit r is set when row r's
+    deepest-prune sum reaches d - W_x, bit R + r when its whole sum does.
+    The node looks up each class at its own W_x and ANDs the ints, so bit r
+    of the result says the vector passes the deepest prune in every class,
+    which is the test for "examined", and bit R + r that all its weights
+    reach d: the same per-class comparisons as on the weights themselves,
+    only grouped by class.  The vectors examined are the popcount of the
+    low half, up to and including the witness, which is the lowest row of
+    the high half, in the DFS's order, whose Gram matrix, ranked only then,
+    has rank k - 1.  A whole sum never exceeds its deepest-prune sum, so
+    every row meets a need at or below the class's least sum and none meets
+    one above its largest: those entries are the shared all-ones int and 0,
+    and the first need between the two builds the class's whole band of
+    ints with one compare and one `packbits`.  `span` is the largest value
+    with width^span <= _TABLE_ROWS, width = upper - lower + 1, but at least
+    2 and at most length; the tables are freed on return.
 
     A d < 1 would overfill the lanes, so it raises ValueError; a lane of
     more than 64 bits raises UnsupportedError.
@@ -214,24 +246,24 @@ def _enumerate_multiplicities(n, k, d):
         return ((n,) if hit else None), 1
 
     fit = (max(n, d) * (length + 2)).bit_length() + 1
-    bits = next((b for b in (16, 32, 64) if b >= fit), None)
+    bits = next((b for b in _LANE_CODES if b >= fit), None)
     if bits is None:
         raise UnsupportedError(f"n={n} is too large for 64-bit weight lanes")
-    lane = np.dtype(f"<i{bits // 8}")
+    inc, suffix, ones, lanes = geo.columns(bits)
     width = upper - lower + 1
     span = 2
     while span < length and width ** (span + 1) <= _TABLE_ROWS:
         span += 1
     cut = length - span
-    ones = geo.pack([1] * length, bits)
     high = ones << (bits - 1)
     bias = high - d * ones
-    inc = [geo.pack(geo.incidence[:, i], bits) for i in range(cut)]
     # weights + prune[pos] has every top bit set iff a maxed-out suffix from
     # pos on can still lift every weight to d
-    prune = [upper * geo.pack(geo.suffix[:, i], bits) + bias for i in range(cut + 1)]
+    prune = [upper * col + bias for col in suffix[: cut + 1]]
+    unpack = lanes.unpack
+    size = lanes.size
     orders = {}  # (pos, remaining) -> value order; lo and hi follow from both
-    tables = {}  # remaining at cut -> (sums, grams, rows)
+    tables = {}  # remaining at cut -> table(remaining)
     m = [0] * length  # recurse sets m[:cut], fill sets m[cut:]
     examined = 0
     witness = None
@@ -260,36 +292,66 @@ def _enumerate_multiplicities(n, k, d):
             m[pos] = v
             fill(pos + 1, remaining - v, out)
 
-    incidence = geo.incidence[:, cut:].astype(lane)
-    ceiling = (upper * geo.suffix[:, last - 1]).astype(lane)[:, None]
+    incidence = geo.incidence[:, cut:]
+    ceiling = upper * geo.suffix[:, last - 1: last]
     blocks = np.array(gram_bits[cut:], dtype=np.int64)
 
     def table(remaining):
-        # per class x and row r: the lane sums through last - 2 with the
-        # maxed-out last two columns (the deepest prune), then the weights
-        # of the whole completion; and the Gram parity XOR of each row
+        # the completions in DFS order (flat, span values a row), their
+        # number R, the Gram parity XOR of each row and one lookup per
+        # class; then, for look_up, the bitset with all 2R bits set and per
+        # class x and row r the lane sums through last - 2 with the
+        # maxed-out last two columns (the deepest prune) at r, the weights
+        # of the whole completion at R + r, and the least and largest sum
         out = []
         fill(cut, remaining, out)
-        rows = np.array(out, dtype=lane).reshape(-1, span)
+        rows = np.array(out, dtype=np.int64).reshape(-1, span)
         partial = incidence[:, :-2] @ rows[:, :-2].T
-        sums = np.stack([partial + ceiling, partial + incidence[:, -2:] @ rows[:, -2:].T])
+        sums = np.hstack([partial + ceiling, partial + incidence[:, -2:] @ rows[:, -2:].T])
         grams = np.bitwise_xor.reduce(np.where(rows % 2 == 1, blocks, 0), axis=1)
-        return sums, grams, rows
+        band = ((1 << 2 * len(rows)) - 1, sums, sums.min(axis=1).tolist(),
+                sums.max(axis=1).tolist())
+        return out, len(rows), grams.tolist(), [{} for _ in range(length)], band
+
+    def look_up(look, band, x, w):
+        # fill class x's lookup at prefix weight w; see the docstring
+        full, sums, least, most = band
+        if d - w <= least[x]:
+            look[w] = full
+        elif d - w > most[x]:
+            look[w] = 0
+        else:
+            needs = np.arange(least[x] + 1, most[x] + 1)
+            packed = np.packbits(sums[x] >= needs[:, None], axis=1, bitorder="little")
+            for need, row in zip(needs.tolist(), packed):
+                look[d - need] = int.from_bytes(row.tobytes(), "little")
 
     def settle(remaining, weights, gram):
         nonlocal examined, witness
         found = tables.get(remaining)
         if found is None:
             found = tables[remaining] = table(remaining)
-        sums, grams, rows = found
-        need = d - np.frombuffer(weights.to_bytes(length * bits // 8, "little"), lane)
-        passed, reached = np.logical_and.reduce(sums >= need[:, None], axis=1)
-        for r in reached.nonzero()[0].tolist():
-            if hull_one(gram ^ int(grams[r])):
-                examined += int(np.count_nonzero(passed[: r + 1]))
-                witness = tuple(m[:cut] + rows[r].tolist())
+        out, count, grams, looks, band = found
+        prefix = unpack(weights.to_bytes(size, "little"))
+        try:
+            hits = reduce(and_, map(getitem, looks, prefix))
+        except KeyError:
+            for x, w in enumerate(prefix):
+                if w not in looks[x]:
+                    look_up(looks[x], band, x, w)
+            hits = reduce(and_, map(getitem, looks, prefix))
+        # the rows that pass the deepest prune are the low R bits, and the
+        # rows whose whole completion reaches d the high R bits
+        reached = hits >> count
+        while reached:
+            low = reached & -reached
+            r = low.bit_length() - 1
+            if hull_one(gram ^ grams[r]):
+                examined += (hits & (2 * low - 1)).bit_count()
+                witness = tuple(m[:cut] + out[r * span: (r + 1) * span])
                 return
-        examined += int(np.count_nonzero(passed))
+            reached ^= low
+        examined += (hits & ((1 << count) - 1)).bit_count()
 
     def recurse(pos, remaining, weights, gram):
         # the caller has checked prune[pos]

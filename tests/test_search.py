@@ -97,7 +97,7 @@ def test_exhaustive_k3_traversal_counts():
 
 @pytest.mark.parametrize("n, d, examined", [
     (16, 12, 8733), (10, 7, 196306), (11, 8, 137666), (15, 11, 27300),
-    (6, 4, 37240), (5, 4, 0), (20, 15, 21),
+    (6, 4, 37240), (5, 4, 0), (20, 15, 21), (32, 24, 3946889),
 ])
 def test_certificate_traversal_counts(n, d, examined):
     cert = certify_nonexistence(n, 3, d)
@@ -190,14 +190,17 @@ def test_k2_multiplicities_agree_with_brute_force(n):
 
 
 # (n, k, d): k = 1..3 at n <= 23 around the Griesmer bound, then a length
-# of two full simplex copies, a d above the bound, and a d far below it,
-# which takes 32-bit lanes and the narrowest tables (span 2)
+# of two full simplex copies, a d above the bound, a d far below it, which
+# takes 32-bit lanes and the narrowest tables (span 2), and longer walks
+# whose class lookups are the shared all-ones entry (k = 2) or also a band
+# built between a class's least and largest row sum (k = 3)
 ORACLE_GRID = [
     (n, k, d)
     for k in (1, 2, 3)
     for n in range(k, 24)
     for d in range(max(1, griesmer_max_d(n, k) - 2), griesmer_max_d(n, k) + 2)
-] + [(42, 3, 32), (26, 3, 20), (2500, 3, 1)]
+] + [(42, 3, 32), (26, 3, 20), (2500, 3, 1), (60, 2, 40), (100, 2, 70),
+     (30, 3, 20), (40, 3, 28)]
 
 
 def test_table_walk_matches_recursive_oracle():
@@ -217,7 +220,7 @@ def test_walk_frees_its_tables():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for n, d in ((10, 7), (11, 8), (15, 11)):
+        for n, d in ((10, 7), (11, 8), (15, 11), (2500, 1)):
             _enumerate_multiplicities(n, 3, d)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
