@@ -185,7 +185,16 @@ def table_cells(max_n, only_k=None, exhaustive_max_n=0):
     (or k = only_k alone), tagged by method: "exhaustive" (settled by search
     up to exhaustive_max_n), "formula" or "bound" (`bounds.dh_closed_form`),
     or "witness" (the n <= 12 table in `bounds`, each cell backed by a stored
-    witness code).  Cells with no source are left out."""
+    witness code).  Cells with no source are left out.
+
+    Each k <= 3 column tagged "exhaustive" is first solved by one
+    `search.exhaustive_dh` call at its longest length, so that its walks
+    share one store; its cells are then cache hits.  The cells are the same
+    in any order of calls, and none is written before all are built."""
+    top = min(max_n, exhaustive_max_n)
+    for k in (1, 2, 3) if only_k is None else [only_k]:
+        if 1 <= k <= 3 and k < top:
+            search.exhaustive_dh(top, k)
     cells = []
     for n in range(2, max_n + 1):
         if only_k is None:

@@ -5,13 +5,18 @@ the multiplicity-vector representation: every code without a zero column is
 equivalent to a code whose generator columns are simplex columns with
 multiplicities m_i, so enumerating m with column-count pruning is a complete
 search over that class.  Codes with a zero column (dual distance 1) are
-covered by the result at length n - 1; the lengths k..n are solved bottom-up.
+covered by the result at length n - 1; the lengths k..n are solved bottom-up,
+in one loop.
 The walk is a DFS on packed Python ints over the leading columns; each node
 it reaches at a fixed depth is settled over a table of every completion of
 the remaining columns, in the DFS's own order, by ANDing one row bitset per
 projective class: bit r of a class's bitset says that row r lifts that
 class's weight to the bound, so the AND holds exactly the rows that lift
-every class.
+every class.  A class's bitsets are keyed by what the row must add, the
+bound less the class's prefix weight, so a table and its bitsets depend on
+the multiplicity bounds and the lane width alone, never on n or d: the
+walks of one exhaustive column, and of one certificate, share them in one
+store, which lives as long as the call.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
 pass over the budget, with one running best, that starts a new RNG stream
@@ -172,7 +177,7 @@ def multiplicity_bounds(n, k, d):
     return lower, min(upper, n)
 
 
-def _enumerate_multiplicities(n, k, d):
+def _enumerate_multiplicities(n, k, d, store=None):
     """Walk the multiplicity vectors of weight >= d, pruned by the column
     bounds, until the first hull-1 hit.
 
@@ -203,9 +208,13 @@ def _enumerate_multiplicities(n, k, d):
     DFS's own value order, with its lane sums through last - 2 plus the
     maxed-out last two columns (the deepest prune), its lane sums through
     last, and its Gram parity XOR.  A table of R rows keeps, per class x,
-    a dict from the prefix weight W_x to one int: bit r is set when row r's
-    deepest-prune sum reaches d - W_x, bit R + r when its whole sum does.
-    The node looks up each class at its own W_x and ANDs the ints, so bit r
+    a dict from offset + need to one int, offset = upper * length and
+    need = d - W_x for the prefix weight W_x: bit r is set when row r's
+    deepest-prune sum reaches need, bit R + r when its whole sum does.  The
+    node reads the needs of all classes at once, as the lanes of
+    base - weights with base = offset + d in every lane (every W_x is at
+    most n <= offset, and offset + d fits the lane, so no lane borrows or
+    overflows), looks each class up and ANDs the ints, so bit r
     of the result says the vector passes the deepest prune in every class,
     which is the test for "examined", and bit R + r that all its weights
     reach d: the same per-class comparisons as on the weights themselves,
@@ -218,7 +227,24 @@ def _enumerate_multiplicities(n, k, d):
     and the first need between the two builds the class's whole band of
     ints with one compare and one `packbits`.  `span` is the largest value
     with width^span <= _TABLE_ROWS, width = upper - lower + 1, but at least
-    2 and at most length; the tables are freed on return.
+    2 and at most length.
+
+    The value orders, the tables with their lookups and the Gram ranks live
+    in `store`, a private dict that walks of one column may share: the
+    orders and tables under (k, lower, upper, bits), the ranks under
+    ("ranks", k).  A value order depends only on (lower, upper), its
+    position and the remaining sum; a table's rows, its lane sums and its
+    Gram XORs only on (k, lower, upper), from which span and cut follow,
+    and the remaining sum at cut; and a lookup entry only on the sums and
+    the need, never on n or d.  So a table and its lookups serve every walk
+    with the same key, whatever its n and d, and so does offset.  offset
+    is kept small rather than 2^(bits-1), so that in most walks the keys
+    are among the ints Python caches, which a settle neither allocates nor
+    compares by value.  The sums, and the needs they are compared with, are
+    kept in the lane's own width (int16, int32 or int64), which also makes
+    the compare of a band a narrow one: a deepest-prune sum is at most 3n,
+    which the lane holds by construction.  With no store the walk makes its
+    own, which is freed on return.
 
     A d < 1 would overfill the lanes, so it raises ValueError; a lane of
     more than 64 bits raises UnsupportedError.
@@ -230,7 +256,9 @@ def _enumerate_multiplicities(n, k, d):
     lower, upper = multiplicity_bounds(n, k, d)
     if upper < lower or upper * length < n or lower * length > n:
         return None, 0
-    ranks = {}  # packed Gram -> rank
+    if store is None:
+        store = {}
+    ranks = store.setdefault(("ranks", k), {})  # packed Gram -> rank
 
     def hull_one(gram):
         if gram not in ranks:
@@ -257,13 +285,17 @@ def _enumerate_multiplicities(n, k, d):
     cut = length - span
     high = ones << (bits - 1)
     bias = high - d * ones
+    # lane x of base - weights is offset + d - W_x, the key of class x's need
+    offset = upper * length
+    base = (offset + d) * ones
     # weights + prune[pos] has every top bit set iff a maxed-out suffix from
     # pos on can still lift every weight to d
     prune = [upper * col + bias for col in suffix[: cut + 1]]
     unpack = lanes.unpack
     size = lanes.size
-    orders = {}  # (pos, remaining) -> value order; lo and hi follow from both
-    tables = {}  # remaining at cut -> table(remaining)
+    # (pos, remaining) -> value order, lo and hi following from both; and
+    # remaining at cut -> table(remaining)
+    orders, tables = store.setdefault((k, lower, upper, bits), ({}, {}))
     m = [0] * length  # recurse sets m[:cut], fill sets m[cut:]
     examined = 0
     witness = None
@@ -302,29 +334,32 @@ def _enumerate_multiplicities(n, k, d):
         # class; then, for look_up, the bitset with all 2R bits set and per
         # class x and row r the lane sums through last - 2 with the
         # maxed-out last two columns (the deepest prune) at r, the weights
-        # of the whole completion at R + r, and the least and largest sum
+        # of the whole completion at R + r, in the lane's width, and the
+        # least and largest sum
         out = []
         fill(cut, remaining, out)
         rows = np.array(out, dtype=np.int64).reshape(-1, span)
         partial = incidence[:, :-2] @ rows[:, :-2].T
         sums = np.hstack([partial + ceiling, partial + incidence[:, -2:] @ rows[:, -2:].T])
+        sums = sums.astype(f"int{bits}")
         grams = np.bitwise_xor.reduce(np.where(rows % 2 == 1, blocks, 0), axis=1)
         band = ((1 << 2 * len(rows)) - 1, sums, sums.min(axis=1).tolist(),
                 sums.max(axis=1).tolist())
         return out, len(rows), grams.tolist(), [{} for _ in range(length)], band
 
-    def look_up(look, band, x, w):
-        # fill class x's lookup at prefix weight w; see the docstring
+    def look_up(look, band, x, key):
+        # fill class x's lookup at key = offset + need; see the docstring
         full, sums, least, most = band
-        if d - w <= least[x]:
-            look[w] = full
-        elif d - w > most[x]:
-            look[w] = 0
+        need = key - offset
+        if need <= least[x]:
+            look[key] = full
+        elif need > most[x]:
+            look[key] = 0
         else:
-            needs = np.arange(least[x] + 1, most[x] + 1)
+            needs = np.arange(least[x] + 1, most[x] + 1, dtype=sums.dtype)
             packed = np.packbits(sums[x] >= needs[:, None], axis=1, bitorder="little")
             for need, row in zip(needs.tolist(), packed):
-                look[d - need] = int.from_bytes(row.tobytes(), "little")
+                look[offset + need] = int.from_bytes(row.tobytes(), "little")
 
     def settle(remaining, weights, gram):
         nonlocal examined, witness
@@ -332,14 +367,14 @@ def _enumerate_multiplicities(n, k, d):
         if found is None:
             found = tables[remaining] = table(remaining)
         out, count, grams, looks, band = found
-        prefix = unpack(weights.to_bytes(size, "little"))
+        keys = unpack((base - weights).to_bytes(size, "little"))
         try:
-            hits = reduce(and_, map(getitem, looks, prefix))
+            hits = reduce(and_, map(getitem, looks, keys))
         except KeyError:
-            for x, w in enumerate(prefix):
-                if w not in looks[x]:
-                    look_up(looks[x], band, x, w)
-            hits = reduce(and_, map(getitem, looks, prefix))
+            for x, key in enumerate(keys):
+                if key not in looks[x]:
+                    look_up(looks[x], band, x, key)
+            hits = reduce(and_, map(getitem, looks, keys))
         # the rows that pass the deepest prune are the low R bits, and the
         # rows whose whole completion reaches d the high R bits
         reached = hits >> count
@@ -375,7 +410,8 @@ def _enumerate_multiplicities(n, k, d):
             recurse(0, n, 0, 0)
     finally:
         # the recursive closures hold themselves; breaking those cycles frees
-        # the tables now instead of at the next cyclic garbage collection
+        # a store the walk made now instead of at the next cyclic garbage
+        # collection
         recurse = fill = None
     return witness, examined
 
@@ -402,28 +438,32 @@ def exhaustive_dh(n, k):
     Scans d downward from the classical bounds; the first d with a
     multiplicity-vector witness (or a zero-column lift of a shorter witness)
     is exact.  `explored` is cumulative over the lengths k..n.
+
+    One loop solves the lengths k..n bottom-up, each from the outcome at
+    the length before, so the call depth stays flat for any n; the lengths
+    already in _EXHAUSTIVE_CACHE are taken from it.  Every walk of the call
+    shares one store of value orders, settle tables and Gram ranks (see
+    `_enumerate_multiplicities`), which is freed on return: only the
+    outcomes stay.
     """
     if k not in (1, 2, 3):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
     if n < k:
         raise ValueError("need n >= k")
-    key = (n, k)
-    if key in _EXHAUSTIVE_CACHE:
-        return _EXHAUSTIVE_CACHE[key]
-    # fill the shorter lengths bottom-up, so that the call on n - 1 below is
-    # a cache hit and the call depth stays flat for any n
-    for length in range(k, n - 1):
+    if (n, k) in _EXHAUSTIVE_CACHE:
+        return _EXHAUSTIVE_CACHE[n, k]
+    store = {}
+    outcome = None
+    for length in range(k, n + 1):
         if (length, k) not in _EXHAUSTIVE_CACHE:
-            shorter = _EXHAUSTIVE_CACHE.get((length - 1, k))
-            _EXHAUSTIVE_CACHE[length, k] = _exhaustive_length(length, k, shorter)
-    shorter = exhaustive_dh(n - 1, k) if n - 1 >= k else None
-    outcome = _exhaustive_length(n, k, shorter)
-    _EXHAUSTIVE_CACHE[key] = outcome
+            _EXHAUSTIVE_CACHE[length, k] = _exhaustive_length(length, k, outcome, store)
+        outcome = _EXHAUSTIVE_CACHE[length, k]
     return outcome
 
 
-def _exhaustive_length(n, k, shorter):
-    """exhaustive_dh at length n, given its outcome at length n - 1."""
+def _exhaustive_length(n, k, shorter, store):
+    """exhaustive_dh at length n, given its outcome at length n - 1 and the
+    column's store."""
     dmax = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
     explored = shorter.explored if shorter else 0
     best_d = 0
@@ -432,7 +472,7 @@ def _exhaustive_length(n, k, shorter):
         if shorter and shorter.best_d >= d:
             # the zero-column lift already achieves d; no deeper scan needed
             break
-        m, examined = _enumerate_multiplicities(n, k, d)
+        m, examined = _enumerate_multiplicities(n, k, d, store)
         explored += examined
         if m is not None:
             code, actual = _verify_multiplicity_witness(k, m, d)
@@ -452,15 +492,18 @@ def _pad(code, n):
 
 def certify_nonexistence(n, k, d):
     """Exhaust the pruned multiplicity space (and the zero-column recursion)
-    for an [n, k, >=d] hull-1 code; returns a certificate or a witness."""
+    for an [n, k, >=d] hull-1 code; returns a certificate or a witness.
+    The walks at the lengths n, n - 1, ... share one store, freed on
+    return."""
     if k not in (1, 2, 3):
         raise UnsupportedError("certification supports k <= 3 only")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     examined = 0
+    store = {}
     length_n = n
     while length_n >= k and griesmer_max_d(length_n, k) >= d:
-        m, count = _enumerate_multiplicities(length_n, k, d)
+        m, count = _enumerate_multiplicities(length_n, k, d, store)
         examined += count
         if m is not None:
             code, _ = _verify_multiplicity_witness(k, m, d)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hullforge import bounds, cli, eaqecc, matfmt
+from hullforge import bounds, cli, eaqecc, matfmt, search
 from hullforge.cli import main
 from hullforge.code import LinearCode
 from hullforge.construct import fixture, simplex_matrix
@@ -369,6 +370,32 @@ def test_table_k_visits_only_that_k(capsys, monkeypatch):
     status, _ = run(capsys, "table", "--max-n", "50", "--k", "3")
     assert status == 0
     assert calls == [(n, 3) for n in range(4, 51)]
+
+
+@pytest.mark.parametrize("max_n, only_k", [(12, None), (22, 3)])
+def test_table_column_call_moves_no_cell(capsys, monkeypatch, max_n, only_k):
+    # table_cells solves each exhaustive column with one call at its longest
+    # length, before any cell; the same cells, each from its own call on a
+    # cleared cache, with n visited in descending order, give the same bytes
+    cache = {}
+    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", cache)
+    argv = ["table", "--max-n", str(max_n), "--exhaustive-max-n", str(max_n)]
+    if only_k is not None:
+        argv += ["--k", str(only_k)]
+    status, captured = run(capsys, *argv)
+    assert status == 0
+    cells = []
+    for n in range(max_n, 1, -1):
+        for k in reversed(range(1, n) if only_k is None else [only_k]):
+            if k < n:
+                cache.clear()
+                cells.append(cli._table_cell(n, k, max_n))
+    cells = [cell for cell in reversed(cells) if cell is not None]
+    assert sum(cell["method"] == "exhaustive" for cell in cells) == \
+        (3 * max_n - 6 if only_k is None else max_n - 3)
+    expected = io.StringIO(newline="")
+    cli._write_table_csv(cells, expected)
+    assert captured.out == expected.getvalue()
 
 
 @pytest.mark.parametrize("k", ["-1", "0", "12", "13"])

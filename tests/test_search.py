@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 from collections import Counter
 import tracemalloc
 from itertools import combinations, product
@@ -17,6 +18,7 @@ from hullforge import gf4, hull, search
 from hullforge.bounds import (
     dh_closed_form,
     griesmer_max_d,
+    k3_value,
     sphere_packing_max_d,
     table5_lookup,
 )
@@ -85,14 +87,19 @@ def test_exhaustive_long_k1_runs_without_deep_recursion():
 
 # multiplicity vectors the k = 3 DFS examines, as printed by `search n 3`;
 # any change to its visit order or pruning moves these counts
-K3_EXPLORED = dict(zip(range(4, 23), (
+K3_EXPLORED = dict(zip(range(4, 26), (
     1324, 18652, 55903, 55904, 55929, 55979, 252285, 389954, 389957, 399835,
     408560, 435860, 444594, 444595, 444598, 444599, 444620, 444623, 444627,
+    444627, 444631, 444637,
 )))
 
 
 def test_exhaustive_k3_traversal_counts():
     assert {n: exhaustive_dh(n, 3).explored for n in K3_EXPLORED} == K3_EXPLORED
+    # past the n = 22 of the acceptance criteria the column still meets the
+    # closed form in `bounds`
+    for n in (23, 24, 25):
+        assert exhaustive_dh(n, 3).best_d == k3_value(n).d
 
 
 @pytest.mark.parametrize("n, d, examined", [
@@ -222,6 +229,45 @@ def test_walk_frees_its_tables():
         before = tracemalloc.get_traced_memory()[0]
         for n, d in ((10, 7), (11, 8), (15, 11), (2500, 1)):
             _enumerate_multiplicities(n, 3, d)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert retained < 256 * 1024
+
+
+def test_shared_store_matches_recursive_oracle():
+    # a table and its need-keyed lookups serve every walk with the same
+    # (k, lower, upper, bits), whatever its n and d: walked in a shuffled
+    # order through one store per k, so that walks of other lengths and
+    # distances fill the tables first, every case still gives the oracle's
+    # witness and count
+    grid = list(ORACLE_GRID)
+    random.Random(2201).shuffle(grid)
+    stores = {k: {} for k in (1, 2, 3)}
+    for n, k, d in grid:
+        assert _enumerate_multiplicities(n, k, d, stores[k]) == \
+            oracle_enumerate_multiplicities(n, k, d), (n, k, d)
+
+
+def test_column_store_is_freed(monkeypatch):
+    # an exhaustive column and a certificate each share one store across
+    # their walks; it must not outlive the call, not even when the cyclic
+    # collector never runs.  The 16-bit lane columns are cached for the
+    # process, so they are filled first
+    search._geometry(3).columns(16)
+    cache = {}
+    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", cache)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exhaustive_dh(22, 3)
+        certify_nonexistence(16, 3, 12)
+        # the outcomes stay in the cache; drop them too
+        cache.clear()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
