@@ -187,14 +187,18 @@ def table_cells(max_n, only_k=None, exhaustive_max_n=0):
     or "witness" (the n <= 12 table in `bounds`, each cell backed by a stored
     witness code).  Cells with no source are left out.
 
-    Each k <= 3 column tagged "exhaustive" is first solved by one
-    `search.exhaustive_dh` call at its longest length, so that its walks
-    share one store; its cells are then cache hits.  The cells are the same
-    in any order of calls, and none is written before all are built."""
+    Each k <= 3 column that is settled by search is one `search.exhaustive_dh`
+    call at its longest length, so that its walks share one store; the
+    shorter lengths' outcomes are read from that call's `shorter` links,
+    not asked for again."""
     top = min(max_n, exhaustive_max_n)
+    settled = {}  # (n, k) -> best_d
     for k in (1, 2, 3) if only_k is None else [only_k]:
         if 1 <= k <= 3 and k < top:
-            search.exhaustive_dh(top, k)
+            outcome = search.exhaustive_dh(top, k)
+            for n in range(top, k, -1):
+                settled[n, k] = outcome.best_d
+                outcome = outcome.shorter
     cells = []
     for n in range(2, max_n + 1):
         if only_k is None:
@@ -202,16 +206,15 @@ def table_cells(max_n, only_k=None, exhaustive_max_n=0):
         else:
             ks = [only_k] if 1 <= only_k < n else []
         for k in ks:
-            cell = _table_cell(n, k, exhaustive_max_n)
+            cell = _table_cell(n, k, settled)
             if cell is not None:
                 cells.append(cell)
     return cells
 
 
-def _table_cell(n, k, exhaustive_max_n):
-    if k <= 3 and n <= exhaustive_max_n:
-        outcome = search.exhaustive_dh(n, k)
-        return {"n": n, "k": k, "d": outcome.best_d, "method": "exhaustive"}
+def _table_cell(n, k, settled):
+    if (n, k) in settled:
+        return {"n": n, "k": k, "d": settled[n, k], "method": "exhaustive"}
     value = bounds.dh_closed_form(n, k)
     if value is not None:
         method = "formula" if value.exact else "bound"

@@ -46,7 +46,7 @@ survive `python -O`.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_, getitem
 
@@ -77,6 +77,9 @@ class SearchOutcome:
     witness: LinearCode | None
     exhaustive: bool
     explored: int
+    # exhaustive_dh's outcome at n - 1 for the same k; None at n = k and for
+    # a randomized search
+    shorter: "SearchOutcome | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -416,6 +419,13 @@ def _enumerate_multiplicities(n, k, d, store=None):
     return witness, examined
 
 
+def _drop_tables(store, least_upper):
+    """Remove from `store` the value orders and tables of every key whose
+    upper multiplicity bound is below least_upper; the Gram ranks stay."""
+    for key in [key for key in store if key[0] != "ranks" and key[2] < least_upper]:
+        del store[key]
+
+
 def _verify_multiplicity_witness(k, m, expect_d):
     code = code_from_multiplicity(MultiplicityVector(k, tuple(m)))
     dim = hull_dim(code)
@@ -437,14 +447,18 @@ def exhaustive_dh(n, k):
 
     Scans d downward from the classical bounds; the first d with a
     multiplicity-vector witness (or a zero-column lift of a shorter witness)
-    is exact.  `explored` is cumulative over the lengths k..n.
+    is exact.  `explored` is cumulative over the lengths k..n, and
+    `shorter` links the outcome at n - 1, so one call yields the whole
+    column.
 
     One loop solves the lengths k..n bottom-up, each from the outcome at
     the length before, so the call depth stays flat for any n; the lengths
     already in _EXHAUSTIVE_CACHE are taken from it.  Every walk of the call
     shares one store of value orders, settle tables and Gram ranks (see
     `_enumerate_multiplicities`), which is freed on return: only the
-    outcomes stay.
+    outcomes stay.  Before each length the store drops the tables that no
+    later walk can read, so that a long column keeps only the tables of
+    the upper bounds still reachable, not every table it built.
     """
     if k not in (1, 2, 3):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
@@ -456,6 +470,11 @@ def exhaustive_dh(n, k):
     outcome = None
     for length in range(k, n + 1):
         if (length, k) not in _EXHAUSTIVE_CACHE:
+            if outcome is not None:
+                # every walk from here on has d > outcome.best_d, so by the
+                # Griesmer bound an upper bound of at least ceil(d / 4^(k-1)):
+                # the tables below that are never read again
+                _drop_tables(store, -(-(outcome.best_d + 1) // 4 ** (k - 1)))
             _EXHAUSTIVE_CACHE[length, k] = _exhaustive_length(length, k, outcome, store)
         outcome = _EXHAUSTIVE_CACHE[length, k]
     return outcome
@@ -481,7 +500,8 @@ def _exhaustive_length(n, k, shorter, store):
     if shorter and shorter.best_d > best_d:
         best_d = shorter.best_d
         witness = _pad(shorter.witness, n)
-    return SearchOutcome(best_d, witness, exhaustive=True, explored=explored)
+    return SearchOutcome(best_d, witness, exhaustive=True, explored=explored,
+                         shorter=shorter)
 
 
 def _pad(code, n):

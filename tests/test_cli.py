@@ -375,8 +375,9 @@ def test_table_k_visits_only_that_k(capsys, monkeypatch):
 @pytest.mark.parametrize("max_n, only_k", [(12, None), (22, 3)])
 def test_table_column_call_moves_no_cell(capsys, monkeypatch, max_n, only_k):
     # table_cells solves each exhaustive column with one call at its longest
-    # length, before any cell; the same cells, each from its own call on a
-    # cleared cache, with n visited in descending order, give the same bytes
+    # length and reads the shorter lengths from its links; the same cells,
+    # each exhaustive one from its own call on a cleared cache, with n
+    # visited in descending order, give the same bytes
     cache = {}
     monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", cache)
     argv = ["table", "--max-n", str(max_n), "--exhaustive-max-n", str(max_n)]
@@ -386,10 +387,15 @@ def test_table_column_call_moves_no_cell(capsys, monkeypatch, max_n, only_k):
     assert status == 0
     cells = []
     for n in range(max_n, 1, -1):
-        for k in reversed(range(1, n) if only_k is None else [only_k]):
-            if k < n:
+        for k in reversed(range(1, n)):
+            if only_k not in (None, k):
+                continue
+            if k <= 3:
                 cache.clear()
-                cells.append(cli._table_cell(n, k, max_n))
+                d = search.exhaustive_dh(n, k).best_d
+                cells.append({"n": n, "k": k, "d": d, "method": "exhaustive"})
+            else:
+                cells.append(cli._table_cell(n, k, {}))
     cells = [cell for cell in reversed(cells) if cell is not None]
     assert sum(cell["method"] == "exhaustive" for cell in cells) == \
         (3 * max_n - 6 if only_k is None else max_n - 3)

@@ -276,6 +276,33 @@ def test_column_store_is_freed(monkeypatch):
     assert retained < 256 * 1024
 
 
+@pytest.mark.parametrize("n, k", [(60, 2), (25, 3)])
+def test_column_drops_only_tables_it_never_reads(monkeypatch, n, k):
+    # exhaustive_dh drops a store key once the Griesmer bound puts its upper
+    # bound below that of every later walk; no later walk of the column may
+    # build a dropped key again
+    dropped, rebuilt = set(), set()
+    drop, walk = search._drop_tables, search._enumerate_multiplicities
+
+    def dropping(store, least_upper):
+        before = set(store)
+        drop(store, least_upper)
+        dropped.update(before - set(store))
+
+    def walking(n, k, d, store=None):
+        before = set(store)
+        try:
+            return walk(n, k, d, store)
+        finally:
+            rebuilt.update((set(store) - before) & dropped)
+
+    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", {})
+    monkeypatch.setattr(search, "_drop_tables", dropping)
+    monkeypatch.setattr(search, "_enumerate_multiplicities", walking)
+    exhaustive_dh(n, k)
+    assert dropped and not rebuilt
+
+
 def test_walk_rejects_lengths_past_64_bit_lanes():
     # the weight lanes are numpy integers of at most 64 bits
     with pytest.raises(UnsupportedError, match="64-bit"):
