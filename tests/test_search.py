@@ -276,6 +276,17 @@ def test_column_store_is_freed(monkeypatch):
     assert retained < 256 * 1024
 
 
+def test_column_outcomes_link_the_shorter_lengths(monkeypatch):
+    # one call yields its whole column: `shorter` runs through the cached
+    # outcomes at n - 1, ..., k and ends there
+    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", {})
+    chain = [exhaustive_dh(12, 3)]
+    while chain[-1].shorter is not None:
+        chain.append(chain[-1].shorter)
+    assert len(chain) == 10
+    assert all(outcome is exhaustive_dh(n, 3) for n, outcome in zip(range(12, 2, -1), chain))
+
+
 @pytest.mark.parametrize("n, k", [(60, 2), (25, 3)])
 def test_column_drops_only_tables_it_never_reads(monkeypatch, n, k):
     # exhaustive_dh drops a store key once the Griesmer bound puts its upper
