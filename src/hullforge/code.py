@@ -21,7 +21,9 @@ popcount(p0 | p1), visiting one message per scalar class
 x); the randomized search feeds its packed candidates to the same routine
 (`_plane_weights`).  The block is 4^7 words, small enough that a pass over
 it works in a core's L2 cache instead of streaming through memory
-(`_BLOCK_K`).
+(`_BLOCK_K`).  Above one block at n <= 32 a narrow pass holds each plane
+in uint32 words, half the bytes per XOR, OR and popcount, and counts the
+weights of two words at a time in one joint histogram.
 """
 
 import numpy as np
@@ -42,7 +44,10 @@ DEFAULT_ENUM_CAP = 14
 # over 64 columns (two 128 KiB block planes, the 256 KiB XOR pair and the
 # weights) fits in a 2 MiB L2 cache; 9 streamed about 12 MiB per pass.  A
 # sweep over 6..9 (CHANGES.md) found 7 fastest at k = 11 and 14 and level
-# with 8 at k = 12; 6 pays the per-pass overhead four times as often.
+# with 8 at k = 12; 6 pays the per-pass overhead four times as often.  The
+# narrow pass (n <= 32) halves the planes and the XOR pair to 64 + 64 and
+# 128 KiB and adds a 66 KiB joint histogram; 8 measured slower there too
+# (6.2-6.4 against 3.4-5.3 ms per [22,11] enumeration).
 _BLOCK_K = 7
 
 _WORD = (1 << 64) - 1
@@ -243,16 +248,30 @@ def _plane_weights(lo, hi, n):
     t < s) and p = 0 are visited: A = A(p = 0) + 3 * sum A(p normalised),
     exact for dependent rows too.  That is 1 + (4^s - 1) / 3 block passes
     for the 4^s prefixes.  Each pass goes word by word, XORing the prefix
-    into the block as one uint64 scalar per plane, and works in buffers
-    allocated once per call.
+    into the block as one scalar per plane, and works in buffers allocated
+    once per call.
+
+    The narrow pass (s > 0 and n <= 32) holds each plane in one uint32
+    word and counts the uint8 weights of the prefix passes two at a time:
+    viewed as uint16, two adjacent weights form one index lo + 256 * hi
+    into a joint table that every prefix pass shares, since all of them
+    have class size 3.  Each weight is exactly one byte of exactly one
+    index, so the table's sums over lo (one per hi) plus its sums over hi
+    (one per lo, in the first n + 1 columns) count every weight once,
+    whichever byte order the host has.  The p = 0 pass has class size 1,
+    so it keeps its own bincount.
     """
     multiples = _plane_multiples(lo, hi, n)
     split = len(lo) - min(len(lo), _BLOCK_K)
+    narrow = split and n <= 32
+    if narrow:
+        multiples = multiples.astype(np.uint32)
+        pairs = np.zeros(256 * (n + 1), dtype=np.int64)
     block = _plane_span(multiples[split:])
     prefixes = _plane_span(multiples[:split])
     # one word of the block with the prefix XORed in; the OR of its two
     # planes overwrites the first, and no weight exceeds n
-    mixed = np.empty((2, block.shape[2]), dtype=np.uint64)
+    mixed = np.empty((2, block.shape[2]), dtype=block.dtype)
     union = mixed[0]
     popcount = np.empty_like(union, dtype=np.uint8)
     weights = np.empty_like(union, dtype=np.min_scalar_type(n))
@@ -268,8 +287,14 @@ def _plane_weights(lo, hi, n):
                 weights += np.bitwise_count(union, out=popcount)
             else:
                 np.bitwise_count(union, out=weights)
-        class_size = 3 if i else 1
-        counts += class_size * np.bincount(weights, minlength=n + 1)
+        if narrow and i:
+            pairs += np.bincount(weights.view(np.uint16), minlength=pairs.size)
+        else:
+            class_size = 3 if i else 1
+            counts += class_size * np.bincount(weights, minlength=n + 1)
+    if narrow:
+        pairs = pairs.reshape(n + 1, 256)
+        counts += 3 * (pairs.sum(axis=1) + pairs[:, : n + 1].sum(axis=0))
     return counts
 
 
@@ -292,8 +317,9 @@ def _plane_multiples(lo, hi, n):
 
 def _plane_span(multiples):
     """All 4^r combinations of the rows behind `multiples` as a (2, W, 4^r)
-    pair of bit planes; the coefficient of the last row varies fastest."""
-    words = np.zeros((2, multiples.shape[2], 1), dtype=np.uint64)
+    pair of bit planes in the dtype of `multiples`; the coefficient of the
+    last row varies fastest."""
+    words = np.zeros((2, multiples.shape[2], 1), dtype=multiples.dtype)
     for scaled in multiples:
         words = (words[:, :, :, None] ^ scaled[:, :, None, :]).reshape(
             2, scaled.shape[1], -1

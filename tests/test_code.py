@@ -398,10 +398,12 @@ def _direct_sum_rows(rng, n, rank, extra=()):
     return np.array(rows), expected
 
 
-@pytest.mark.parametrize("n", [11, 63, 64, 65, 129])
+@pytest.mark.parametrize("n", [11, 24, 31, 32, 33, 63, 64, 65, 129])
 def test_plane_weights_beyond_block_match_direct_sums(rng, n):
     # k > _BLOCK_K: the first k - _BLOCK_K rows are prefixes, one visited
-    # per scalar class; at n = 11 the rows beyond the 11th are dependent
+    # per scalar class; at n = 11 the rows beyond the 11th are dependent.
+    # n <= 32 takes the narrow pass (uint32 words, paired histogram), 33
+    # the uint64 one
     for k in range(10, 14):
         rank = min(k, n)
         extra = [(int(rng.integers(rank + i + 1)), "sum") for i in range(k - rank)]
@@ -421,12 +423,13 @@ def test_plane_weights_beyond_block_match_direct_sums(rng, n):
 ])
 def test_plane_weights_with_dependent_rows(rng, extra):
     # rank < r: each codeword comes from 4^(r - rank) messages, and the
-    # counts still sum to 4^r
-    rows, expected = _direct_sum_rows(rng, 70, 12 - len(extra), extra)
-    assert rows.shape == (12, 70)
-    counts = _plane_weights(*oracle_row_planes(rows), 70)
-    assert counts.tolist() == expected.tolist()
-    assert counts.sum() == 4 ** 12
+    # counts still sum to 4^r; n = 30 takes the narrow pass
+    for n in (70, 30):
+        rows, expected = _direct_sum_rows(rng, n, 12 - len(extra), extra)
+        assert rows.shape == (12, n)
+        counts = _plane_weights(*oracle_row_planes(rows), n)
+        assert counts.tolist() == expected.tolist()
+        assert counts.sum() == 4 ** 12
 
 
 def _codeword_counts(code):
@@ -435,7 +438,7 @@ def _codeword_counts(code):
                        minlength=code.n + 1)
 
 
-@pytest.mark.parametrize("n", [None, 65, 129])
+@pytest.mark.parametrize("n", [None, 32, 65, 129])
 def test_plane_weights_at_block_boundary(rng, n):
     # k = _BLOCK_K - 1 and _BLOCK_K take one pass over a partial or full
     # block, _BLOCK_K + 1 and + 2 one or two prefix rows; n = None is k + 3
