@@ -161,16 +161,15 @@ def _parse_params(name):
     return n, k, d
 
 
-@lru_cache(maxsize=1)
 def fixture_names():
     root = resources.files("hullforge").joinpath("data/fixtures")
     return tuple(sorted(p.name[: -len(".g4m")] for p in root.iterdir()
                         if p.name.endswith(".g4m")))
 
 
-@lru_cache(maxsize=None)
 def fixture(name) -> Fixture:
-    """Load a transcribed generator matrix by name, e.g. "G_[12,3,8]"."""
+    """Load a transcribed generator matrix by name, e.g. "G_[12,3,8]";
+    each call reads and parses its file again."""
     root = resources.files("hullforge").joinpath("data/fixtures")
     path = root.joinpath(name + ".g4m")
     if not path.is_file():

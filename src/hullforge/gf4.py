@@ -34,6 +34,8 @@ MUL = np.array(
 
 # conj(x) = x^2; coincides with the inverse on nonzero elements (x^3 = 1)
 CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
+MUL.setflags(write=False)
+CONJ.setflags(write=False)
 
 
 def as_matrix(rows):

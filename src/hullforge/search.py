@@ -133,6 +133,9 @@ class _ProjectiveGeometry:
         # incidence column suffix sums, for distance pruning
         self.suffix = np.zeros((self.length, self.length + 1), dtype=np.int64)
         self.suffix[:, :-1] = np.cumsum(self.incidence[:, ::-1], axis=1)[:, ::-1]
+        # shared by every walk through the _geometry cache
+        self.incidence.setflags(write=False)
+        self.suffix.setflags(write=False)
         self._columns = {}  # bits -> columns(bits)
 
     def columns(self, bits):
@@ -439,9 +442,6 @@ def _verify_multiplicity_witness(k, m, expect_d):
     return code, actual
 
 
-_EXHAUSTIVE_CACHE = {}
-
-
 def exhaustive_dh(n, k):
     """Exact largest hull-1 distance for k in {1, 2, 3}.
 
@@ -452,31 +452,28 @@ def exhaustive_dh(n, k):
     column.
 
     One loop solves the lengths k..n bottom-up, each from the outcome at
-    the length before, so the call depth stays flat for any n; the lengths
-    already in _EXHAUSTIVE_CACHE are taken from it.  Every walk of the call
-    shares one store of value orders, settle tables and Gram ranks (see
-    `_enumerate_multiplicities`), which is freed on return: only the
-    outcomes stay.  Before each length the store drops the tables that no
-    later walk can read, so that a long column keeps only the tables of
-    the upper bounds still reachable, not every table it built.
+    the length before, so the call depth stays flat for any n.  Every walk
+    of the call shares one store of value orders, settle tables and Gram
+    ranks (see `_enumerate_multiplicities`), which is freed on return:
+    nothing but the returned chain of outcomes outlives the call, and a
+    second call solves the column again.  Before each length the store
+    drops the tables that no later walk can read, so that a long column
+    keeps only the tables of the upper bounds still reachable, not every
+    table it built.
     """
     if k not in (1, 2, 3):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
     if n < k:
         raise ValueError("need n >= k")
-    if (n, k) in _EXHAUSTIVE_CACHE:
-        return _EXHAUSTIVE_CACHE[n, k]
     store = {}
     outcome = None
     for length in range(k, n + 1):
-        if (length, k) not in _EXHAUSTIVE_CACHE:
-            if outcome is not None:
-                # every walk from here on has d > outcome.best_d, so by the
-                # Griesmer bound an upper bound of at least ceil(d / 4^(k-1)):
-                # the tables below that are never read again
-                _drop_tables(store, -(-(outcome.best_d + 1) // 4 ** (k - 1)))
-            _EXHAUSTIVE_CACHE[length, k] = _exhaustive_length(length, k, outcome, store)
-        outcome = _EXHAUSTIVE_CACHE[length, k]
+        if outcome is not None:
+            # every walk from here on has d > outcome.best_d, so by the
+            # Griesmer bound an upper bound of at least ceil(d / 4^(k-1)):
+            # the tables below that are never read again
+            _drop_tables(store, -(-(outcome.best_d + 1) // 4 ** (k - 1)))
+        outcome = _exhaustive_length(length, k, outcome, store)
     return outcome
 
 

@@ -7,7 +7,6 @@ exhaustive/randomized searches or constructions and is re-verified by the
 test suite.
 """
 
-from functools import lru_cache
 from importlib import resources
 
 from . import matfmt
@@ -15,8 +14,9 @@ from .code import LinearCode
 from .exceptions import OutOfRangeError
 
 
-@lru_cache(maxsize=None)
 def witness(n, k) -> LinearCode:
+    """The stored hull-1 witness of cell (n, k), read from its file on
+    every call."""
     root = resources.files("hullforge").joinpath("data/witnesses")
     prefix = f"W_[{n},{k},"
     matches = [entry for entry in root.iterdir()

@@ -198,14 +198,31 @@ def oracle_enumerate_multiplicities(n, k, d):
     return witness, examined
 
 
-def run_optimised(script):
-    """Run a Python script under `python -O`, which drops assert statements,
-    with this checkout's package first on the path."""
+def exhaustive_column(n, k):
+    """{length: outcome} for the lengths k..n, read from one
+    `search.exhaustive_dh(n, k)` call through its `shorter` links."""
+    column = {}
+    outcome = search.exhaustive_dh(n, k)
+    while outcome is not None:
+        column[n] = outcome
+        n, outcome = n - 1, outcome.shorter
+    return column
+
+
+def run_python(*args, timeout=60):
+    """Run a fresh `python *args` with this checkout's package first on the
+    path."""
     src = str(Path(hullforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def run_optimised(script):
+    """Run a Python script under `python -O`, which drops assert statements,
+    with this checkout's package first on the path."""
+    return run_python("-O", "-c", script)
 
 
 def oracle_hull_lift(b):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_python
 from hullforge import bounds, cli, eaqecc, matfmt, search
 from hullforge.cli import main
 from hullforge.code import LinearCode
@@ -373,13 +374,11 @@ def test_table_k_visits_only_that_k(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("max_n, only_k", [(12, None), (22, 3)])
-def test_table_column_call_moves_no_cell(capsys, monkeypatch, max_n, only_k):
+def test_table_column_call_moves_no_cell(capsys, max_n, only_k):
     # table_cells solves each exhaustive column with one call at its longest
     # length and reads the shorter lengths from its links; the same cells,
-    # each exhaustive one from its own call on a cleared cache, with n
-    # visited in descending order, give the same bytes
-    cache = {}
-    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", cache)
+    # each exhaustive one from its own call, with n visited in descending
+    # order, give the same bytes
     argv = ["table", "--max-n", str(max_n), "--exhaustive-max-n", str(max_n)]
     if only_k is not None:
         argv += ["--k", str(only_k)]
@@ -391,7 +390,6 @@ def test_table_column_call_moves_no_cell(capsys, monkeypatch, max_n, only_k):
             if only_k not in (None, k):
                 continue
             if k <= 3:
-                cache.clear()
                 d = search.exhaustive_dh(n, k).best_d
                 cells.append({"n": n, "k": k, "d": d, "method": "exhaustive"})
             else:
@@ -428,6 +426,56 @@ def test_verify_paper(capsys):
     assert status == 0
     assert "verification passed" in captured.out
     assert "[FAIL]" not in captured.out
+
+
+# Imports every hullforge module, runs the commands through `main`, and
+# prints as JSON each module-level dict, list, set or bytearray whose length
+# the commands changed.  It runs in a fresh interpreter, so that no earlier
+# test has filled such a memo before the first count.
+_MODULE_STATE_SCRIPT = """
+import contextlib, importlib, io, json, pkgutil, sys
+import hullforge
+from hullforge.cli import main
+
+for info in pkgutil.walk_packages(hullforge.__path__, "hullforge."):
+    importlib.import_module(info.name)
+
+def lengths():
+    return {f"{name}.{attr}": len(value)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "hullforge"
+            for attr, value in vars(module).items()
+            if not attr.startswith("__")
+            and isinstance(value, (dict, list, set, bytearray))}
+
+before = lengths()
+statuses = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        statuses.append(main(argv))
+after = lengths()
+print(json.dumps({"statuses": statuses, "changed": {
+    key: [before.get(key), after.get(key)] for key in before.keys() | after.keys()
+    if before.get(key) != after.get(key)}}))
+"""
+
+
+def test_commands_leave_no_module_state(fixture_file):
+    # every result comes from the call that returns it: no command leaves a
+    # module-level memo behind
+    commands = [
+        ["table", "--max-n", "22", "--k", "3", "--exhaustive-max-n", "22"],
+        ["search", "16", "3", "--hull", "1", "--target-d", "12"],
+        ["search", "9", "5", "--hull", "1", "--target-d", "4",
+         "--budget", "2048", "--seed", "1"],
+        ["analyze", str(fixture_file), "--eaqecc"],
+        ["verify-paper"],
+    ]
+    done = run_python("-c", _MODULE_STATE_SCRIPT, json.dumps(commands), timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["changed"] == {}
+    assert report["statuses"] == [0] * len(commands)
 
 
 def test_verify_paper_reports_table6_mismatch(capsys, monkeypatch):

@@ -197,3 +197,13 @@ def test_all_fixtures_verify():
     for name in fixture_names():
         ok, results, claims = verify_fixture(fixture(name))
         assert ok, (name, results, claims)
+
+
+def test_fixture_edit_stays_with_its_caller():
+    # each call parses its file again: an edit to one returned matrix
+    # reaches neither the next call nor its verification
+    edited = fixture("G_[9,4,5]").matrix
+    edited[0, 0] ^= 1
+    fresh = fixture("G_[9,4,5]")
+    assert fresh.matrix[0, 0] == edited[0, 0] ^ 1
+    assert verify_fixture(fresh)[0]

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import exhaustive_column
 from hullforge import witnesses
 from hullforge.bounds import table5_cells, table5_lookup
 from hullforge.code import LinearCode
@@ -59,11 +60,10 @@ def test_corollary_family_values():
 def test_corollary_family_matches_direct_derivation():
     # family members at small lengths coincide with derive_pair on the
     # exhaustive [n, 3] witnesses
-    from hullforge.search import exhaustive_dh
-
+    column = exhaustive_column(12, 3)
     for n in (7, 10, 12):
         fam = corollary_family(0, n)
-        code = exhaustive_dh(n, 3).witness
+        code = column[n].witness
         first, _ = derive_pair(code)
         assert (fam.n, fam.k, fam.d, fam.c) == (first.n, first.k, first.d, first.c)
 
@@ -114,11 +114,11 @@ def test_witness_ambiguous_cell(tmp_path, monkeypatch):
     (root / "W_[10,4,5].g4m").write_text(text, encoding="ascii")
     monkeypatch.setattr(witnesses, "resources",
                         SimpleNamespace(files=lambda package: tmp_path))
-    lookup = witnesses.witness.__wrapped__  # past the per-cell cache
-    assert (lookup(10, 4).n, lookup(10, 4).k) == (10, 4)
+    code = witnesses.witness(10, 4)
+    assert (code.n, code.k) == (10, 4)
     (root / "W_[10,4,6].g4m").write_text(text, encoding="ascii")
     with pytest.raises(OutOfRangeError):
-        lookup(10, 4)
+        witnesses.witness(10, 4)
 
 
 def test_table6_cell_of_the_readme_note():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    exhaustive_column,
     oracle_enumerate_multiplicities,
     oracle_random_search,
     oracle_row_planes,
@@ -55,8 +56,9 @@ def test_multiplicity_bounds_k3():
 
 
 def test_exhaustive_k1():
+    column = exhaustive_column(8, 1)
     for n in range(2, 9):
-        o = exhaustive_dh(n, 1)
+        o = column[n]
         assert o.exhaustive
         assert o.best_d == dh_closed_form(n, 1).d
         assert o.witness is not None
@@ -65,16 +67,18 @@ def test_exhaustive_k1():
 
 
 def test_exhaustive_k2_matches_table():
+    column = exhaustive_column(12, 2)
     for n in range(3, 13):
-        o = exhaustive_dh(n, 2)
+        o = column[n]
         assert o.best_d == table5_lookup(n, 2)
         assert o.witness.min_distance() == o.best_d
         assert hull_dim(o.witness) == 1
 
 
 def test_exhaustive_k3_matches_table():
+    column = exhaustive_column(12, 3)
     for n in range(4, 13):
-        o = exhaustive_dh(n, 3)
+        o = column[n]
         assert o.best_d == table5_lookup(n, 3)
         assert o.witness.min_distance() == o.best_d
         assert hull_dim(o.witness) == 1
@@ -95,11 +99,12 @@ K3_EXPLORED = dict(zip(range(4, 26), (
 
 
 def test_exhaustive_k3_traversal_counts():
-    assert {n: exhaustive_dh(n, 3).explored for n in K3_EXPLORED} == K3_EXPLORED
+    column = exhaustive_column(25, 3)
+    assert {n: column[n].explored for n in K3_EXPLORED} == K3_EXPLORED
     # past the n = 22 of the acceptance criteria the column still meets the
     # closed form in `bounds`
     for n in (23, 24, 25):
-        assert exhaustive_dh(n, 3).best_d == k3_value(n).d
+        assert column[n].best_d == k3_value(n).d
 
 
 @pytest.mark.parametrize("n, d, examined", [
@@ -251,14 +256,12 @@ def test_shared_store_matches_recursive_oracle():
             oracle_enumerate_multiplicities(n, k, d), (n, k, d)
 
 
-def test_column_store_is_freed(monkeypatch):
+def test_column_store_is_freed():
     # an exhaustive column and a certificate each share one store across
     # their walks; it must not outlive the call, not even when the cyclic
     # collector never runs.  The 16-bit lane columns are cached for the
     # process, so they are filled first
     search._geometry(3).columns(16)
-    cache = {}
-    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", cache)
     enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
@@ -266,8 +269,6 @@ def test_column_store_is_freed(monkeypatch):
         before = tracemalloc.get_traced_memory()[0]
         exhaustive_dh(22, 3)
         certify_nonexistence(16, 3, 12)
-        # the outcomes stay in the cache; drop them too
-        cache.clear()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -276,15 +277,13 @@ def test_column_store_is_freed(monkeypatch):
     assert retained < 256 * 1024
 
 
-def test_column_outcomes_link_the_shorter_lengths(monkeypatch):
-    # one call yields its whole column: `shorter` runs through the cached
-    # outcomes at n - 1, ..., k and ends there
-    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", {})
-    chain = [exhaustive_dh(12, 3)]
-    while chain[-1].shorter is not None:
-        chain.append(chain[-1].shorter)
-    assert len(chain) == 10
-    assert all(outcome is exhaustive_dh(n, 3) for n, outcome in zip(range(12, 2, -1), chain))
+def test_column_outcomes_link_the_shorter_lengths():
+    # one call yields its whole column: `shorter` runs through the outcomes
+    # at n - 1, ..., k and ends there.  A second call solves the column
+    # again: equal outcomes, none of them shared with the first
+    first, second = exhaustive_column(12, 3), exhaustive_column(12, 3)
+    assert sorted(first) == sorted(second) == list(range(3, 13))
+    assert all(first[n] == second[n] and first[n] is not second[n] for n in first)
 
 
 @pytest.mark.parametrize("n, k", [(60, 2), (25, 3)])
@@ -307,7 +306,6 @@ def test_column_drops_only_tables_it_never_reads(monkeypatch, n, k):
         finally:
             rebuilt.update((set(store) - before) & dropped)
 
-    monkeypatch.setattr(search, "_EXHAUSTIVE_CACHE", {})
     monkeypatch.setattr(search, "_drop_tables", dropping)
     monkeypatch.setattr(search, "_enumerate_multiplicities", walking)
     exhaustive_dh(n, k)
@@ -318,6 +316,14 @@ def test_walk_rejects_lengths_past_64_bit_lanes():
     # the weight lanes are numpy integers of at most 64 bits
     with pytest.raises(UnsupportedError, match="64-bit"):
         _enumerate_multiplicities(2**62, 3, 2**62 - 2**60)
+
+
+def test_shared_tables_refuse_writes():
+    # the GF(4) tables and the cached geometry are shared by every caller
+    geo = search._geometry(3)
+    for table in (gf4.MUL, gf4.CONJ, geo.incidence, geo.suffix):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
 
 
 @pytest.mark.parametrize("k", [2, 3])
