@@ -15,8 +15,8 @@ class's weight to the bound, so the AND holds exactly the rows that lift
 every class.  A class's bitsets are keyed by what the row must add, the
 bound less the class's prefix weight, so a table and its bitsets depend on
 the multiplicity bounds and the lane width alone, never on n or d: the
-walks of one exhaustive column, and of one certificate, share them in one
-store, which lives as long as the call.
+walks of one exhaustive column share them in one store, which lives as
+long as the call.  That store is the only state that walks share.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
 pass over the budget, with one running best, that starts a new RNG stream
@@ -41,8 +41,10 @@ No candidate builds a `LinearCode`.  The accepted witness is then
 re-verified on the independent numpy path (`hull.hull_dim` over
 `gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
 
-Both engines re-check their witness with explicit raises, so the checks
-survive `python -O`.
+Both engines re-check their witness in `_verified`, with explicit raises,
+so the check survives `python -O`.  `exhaustive_dh` and `random_search`
+require the exact distance they report, `certify_nonexistence` at least
+its d.
 """
 
 import struct
@@ -236,21 +238,22 @@ def _enumerate_multiplicities(n, k, d, store=None):
     2 and at most length.
 
     The value orders, the tables with their lookups and the Gram ranks live
-    in `store`, a private dict that walks of one column may share: the
-    orders and tables under (k, lower, upper, bits), the ranks under
-    ("ranks", k).  A value order depends only on (lower, upper), its
-    position and the remaining sum; a table's rows, its lane sums and its
-    Gram XORs only on (k, lower, upper), from which span and cut follow,
-    and the remaining sum at cut; and a lookup entry only on the sums and
-    the need, never on n or d.  So a table and its lookups serve every walk
-    with the same key, whatever its n and d, and so does offset.  offset
-    is kept small rather than 2^(bits-1), so that in most walks the keys
-    are among the ints Python caches, which a settle neither allocates nor
-    compares by value.  The sums, and the needs they are compared with, are
-    kept in the lane's own width (int16, int32 or int64), which also makes
-    the compare of a band a narrow one: a deepest-prune sum is at most 3n,
-    which the lane holds by construction.  With no store the walk makes its
-    own, which is freed on return.
+    in `store`, a private dict: the orders and tables under (k, lower,
+    upper, bits), the ranks under ("ranks", k).  The walks of one exhaustive
+    column share it; that column is the only caller that passes a store.  A
+    value order depends only on (lower, upper), its position and the
+    remaining sum; a table's rows, its lane sums and its Gram XORs only on
+    (k, lower, upper), from which span and cut follow, and the remaining sum
+    at cut; and a lookup entry only on the sums and the need, never on n or
+    d.  So a table and its lookups serve every walk with the same key,
+    whatever its n and d, and so does offset.  offset is kept small rather
+    than 2^(bits-1), so that in most walks the keys are among the ints
+    Python caches, which a settle neither allocates nor compares by value.
+    The sums, and the needs they are compared with, are kept in the lane's
+    own width (int16, int32 or int64), which also makes the compare of a
+    band a narrow one: a deepest-prune sum is at most 3n, which the lane
+    holds by construction.  With no store the walk makes its own, which is
+    freed on return.
 
     A d < 1 would overfill the lanes, so it raises ValueError; a lane of
     more than 64 bits raises UnsupportedError.
@@ -313,9 +316,11 @@ def _enumerate_multiplicities(n, k, d, store=None):
             lo = max(lower, remaining - upper * (last - pos))
             hi = min(upper, remaining - lower * (last - pos))
             # try the value closest to the running mean first: witnesses
-            # sit near balanced multiplicities, so they surface much earlier
-            mean = remaining / (length - pos)
-            order = sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x))
+            # sit near balanced multiplicities, so they surface much earlier.
+            # In ints: a float mean merges neighbours from n of about 2^50
+            places = length - pos
+            order = sorted(range(lo, hi + 1),
+                           key=lambda x: (abs(x * places - remaining), x))
             orders[pos, remaining] = order
         return order
 
@@ -429,27 +434,29 @@ def _drop_tables(store, least_upper):
         del store[key]
 
 
-def _verify_multiplicity_witness(k, m, expect_d):
-    code = code_from_multiplicity(MultiplicityVector(k, tuple(m)))
+def _verified(code, d, exact):
+    """The distance of the witness `code`, re-checked on the numpy path
+    (`hull.hull_dim` over `gf4.hermitian_gram`, and the weights of the
+    code): it must be hull-1 and have distance d, or at least d when not
+    `exact`.  Explicit raises, so the check survives `python -O`."""
     dim = hull_dim(code)
     if dim != 1:
-        raise AssertionError(f"multiplicity witness {m} has hull dimension {dim}")
+        raise AssertionError(f"witness has hull dimension {dim}")
     actual = code.min_distance()
-    if actual < expect_d:
-        raise AssertionError(
-            f"multiplicity witness {m} has distance {actual} < {expect_d}"
-        )
-    return code, actual
+    if actual < d or exact and actual != d:
+        raise AssertionError(f"witness has distance {actual}, search reported {d}")
+    return actual
 
 
 def exhaustive_dh(n, k):
     """Exact largest hull-1 distance for k in {1, 2, 3}.
 
-    Scans d downward from the classical bounds; the first d with a
-    multiplicity-vector witness (or a zero-column lift of a shorter witness)
-    is exact.  `explored` is cumulative over the lengths k..n, and
-    `shorter` links the outcome at n - 1, so one call yields the whole
-    column.
+    At each length, scans d downward from the classical bounds to one above
+    the best distance at the length before; the first d with a
+    multiplicity-vector witness is exact, and with none the zero-column
+    lift of the shorter witness keeps that best.  `explored` is cumulative
+    over the lengths k..n, and `shorter` links the outcome at n - 1, so one
+    call yields the whole column.
 
     One loop solves the lengths k..n bottom-up, each from the outcome at
     the length before, so the call depth stays flat for any n.  Every walk
@@ -460,6 +467,10 @@ def exhaustive_dh(n, k):
     drops the tables that no later walk can read, so that a long column
     keeps only the tables of the upper bounds still reachable, not every
     table it built.
+
+    The re-check of a walk's witness is exact: the walk at d + 1 of the
+    same length found none, or d is the classical bound, so a witness of
+    distance other than d is a fault of the walk.
     """
     if k not in (1, 2, 3):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
@@ -468,37 +479,27 @@ def exhaustive_dh(n, k):
     store = {}
     outcome = None
     for length in range(k, n + 1):
-        if outcome is not None:
-            # every walk from here on has d > outcome.best_d, so by the
-            # Griesmer bound an upper bound of at least ceil(d / 4^(k-1)):
-            # the tables below that are never read again
-            _drop_tables(store, -(-(outcome.best_d + 1) // 4 ** (k - 1)))
-        outcome = _exhaustive_length(length, k, outcome, store)
+        shorter_best_d = outcome.best_d if outcome else 0
+        explored = outcome.explored if outcome else 0
+        # every walk from here on has d > shorter_best_d, so by the Griesmer
+        # bound an upper bound of at least ceil(d / 4^(k-1)): the tables
+        # below that are never read again
+        _drop_tables(store, -(-(shorter_best_d + 1) // 4 ** (k - 1)))
+        dmax = min(griesmer_max_d(length, k), sphere_packing_max_d(length, k))
+        for d in range(dmax, shorter_best_d, -1):
+            m, examined = _enumerate_multiplicities(length, k, d, store)
+            explored += examined
+            if m is not None:
+                witness = code_from_multiplicity(MultiplicityVector(k, m))
+                best_d = _verified(witness, d, exact=True)
+                break
+        else:
+            # no walk found one: the zero-column lift of the shorter witness
+            best_d = shorter_best_d
+            witness = _pad(outcome.witness, length) if shorter_best_d else None
+        outcome = SearchOutcome(best_d, witness, exhaustive=True, explored=explored,
+                                shorter=outcome)
     return outcome
-
-
-def _exhaustive_length(n, k, shorter, store):
-    """exhaustive_dh at length n, given its outcome at length n - 1 and the
-    column's store."""
-    dmax = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
-    explored = shorter.explored if shorter else 0
-    best_d = 0
-    witness = None
-    for d in range(dmax, 0, -1):
-        if shorter and shorter.best_d >= d:
-            # the zero-column lift already achieves d; no deeper scan needed
-            break
-        m, examined = _enumerate_multiplicities(n, k, d, store)
-        explored += examined
-        if m is not None:
-            code, actual = _verify_multiplicity_witness(k, m, d)
-            best_d, witness = actual, code
-            break
-    if shorter and shorter.best_d > best_d:
-        best_d = shorter.best_d
-        witness = _pad(shorter.witness, n)
-    return SearchOutcome(best_d, witness, exhaustive=True, explored=explored,
-                         shorter=shorter)
 
 
 def _pad(code, n):
@@ -510,20 +511,21 @@ def _pad(code, n):
 def certify_nonexistence(n, k, d):
     """Exhaust the pruned multiplicity space (and the zero-column recursion)
     for an [n, k, >=d] hull-1 code; returns a certificate or a witness.
-    The walks at the lengths n, n - 1, ... share one store, freed on
-    return."""
+
+    The walk at each of the lengths n, n - 1, ... makes its own store: over
+    every certificate with k <= 3, n <= 26 and d up to the Griesmer bound,
+    none read a table built at another length, so a shared store would
+    only share Gram ranks.  A d < 1 raises the walk's ValueError."""
     if k not in (1, 2, 3):
         raise UnsupportedError("certification supports k <= 3 only")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
     examined = 0
-    store = {}
     length_n = n
     while length_n >= k and griesmer_max_d(length_n, k) >= d:
-        m, count = _enumerate_multiplicities(length_n, k, d, store)
+        m, count = _enumerate_multiplicities(length_n, k, d)
         examined += count
         if m is not None:
-            code, _ = _verify_multiplicity_witness(k, m, d)
+            code = code_from_multiplicity(MultiplicityVector(k, m))
+            _verified(code, d, exact=False)
             return CounterexampleFound(n, k, d, _pad(code, n))
         length_n -= 1
     bounds = multiplicity_bounds(n, k, d) if griesmer_max_d(n, k) >= d else None
@@ -873,13 +875,6 @@ def random_search(n, k, target_d, seed, budget):
     # a fresh object: nothing the loop computed is reused
     a = np.frombuffer(best, dtype=np.uint8).reshape(k, m)
     code = LinearCode(np.hstack([np.eye(k, dtype=np.uint8), a]))
-    dim = hull_dim(code)
-    if dim != 1:
-        raise AssertionError(f"randomized witness has hull dimension {dim}")
-    actual = code.min_distance()
-    if actual != best_d:
-        raise AssertionError(
-            f"randomized witness has distance {actual}, search reported {best_d}"
-        )
+    _verified(code, best_d, exact=True)
     return SearchOutcome(best_d, code if best_d >= target_d else None,
                          exhaustive=False, explored=budget)

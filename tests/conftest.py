@@ -166,8 +166,9 @@ def oracle_enumerate_multiplicities(n, k, d):
             hi = min(upper, remaining - lower * (last - pos))
             # try the value closest to the running mean first: witnesses
             # sit near balanced multiplicities, so they surface much earlier
-            mean = remaining / (length - pos)
-            order = sorted(range(lo, hi + 1), key=lambda x: (abs(x - mean), x))
+            # (distance to the mean times length - pos, in ints)
+            order = sorted(range(lo, hi + 1),
+                           key=lambda x: (abs(x * (length - pos) - remaining), x))
             orders[pos, remaining] = order
         step = inc[pos]
         block = gram_bits[pos]

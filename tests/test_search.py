@@ -36,7 +36,7 @@ from hullforge.search import (
     NonexistenceCertificate,
     SearchOutcome,
     _enumerate_multiplicities,
-    _verify_multiplicity_witness,
+    _verified,
     certify_nonexistence,
     exhaustive_dh,
     multiplicity_bounds,
@@ -132,7 +132,20 @@ def test_weight_lanes_do_not_overflow_at_large_n():
     # lane width fixed for small n carries into the next lane
     m, examined = _enumerate_multiplicities(2500, 3, 1)
     assert examined == 242
-    _verify_multiplicity_witness(3, m, 1)
+    _verified(code_from_multiplicity(MultiplicityVector(3, m)), 1, exact=False)
+
+
+@pytest.mark.parametrize("s", [4096, 2**50 + 2, 2**53 + 2, 2**54 + 2])
+def test_value_order_shifts_exactly_at_large_n(s):
+    # the walk at (21s + 16, 3, 16s + 11) is the one at s = 0 shifted by s,
+    # so it tries the shifted values in the same order and meets the same
+    # witness first.  A float running mean stops telling neighbouring
+    # values apart from s of about 2^50, which moves the witness and count
+    n, d = 21 * s + 16, 16 * s + 11
+    base = (1,) * 11 + (0, 1) * 5
+    want = (tuple(s + v for v in base), 1)
+    assert _enumerate_multiplicities(n, 3, d) == want
+    assert oracle_enumerate_multiplicities(n, 3, d) == want
 
 
 def _class_incidence(k):
@@ -257,10 +270,10 @@ def test_shared_store_matches_recursive_oracle():
 
 
 def test_column_store_is_freed():
-    # an exhaustive column and a certificate each share one store across
-    # their walks; it must not outlive the call, not even when the cyclic
-    # collector never runs.  The 16-bit lane columns are cached for the
-    # process, so they are filled first
+    # an exhaustive column shares one store across its walks, and each walk
+    # of a certificate makes its own; none may outlive the call, not even
+    # when the cyclic collector never runs.  The 16-bit lane columns are
+    # cached for the process, so they are filled first
     search._geometry(3).columns(16)
     enabled = gc.isenabled()
     gc.disable()
@@ -402,16 +415,37 @@ def test_certify_rejects_wrong_k():
 
 def test_verify_multiplicity_witness_rejects_wrong_hull():
     # the all-ones [5, 2] vector is the simplex code: self-orthogonal, hull 2
+    simplex = code_from_multiplicity(MultiplicityVector(2, (1, 1, 1, 1, 1)))
     with pytest.raises(AssertionError, match="hull dimension 2"):
-        _verify_multiplicity_witness(2, (1, 1, 1, 1, 1), 1)
+        _verified(simplex, 1, exact=False)
 
 
 def test_verify_multiplicity_witness_rejects_overclaimed_distance():
     m, _ = _enumerate_multiplicities(8, 2, 5)
-    _, actual = _verify_multiplicity_witness(2, m, 5)
-    assert actual == 5
-    with pytest.raises(AssertionError, match="distance 5 < 6"):
-        _verify_multiplicity_witness(2, m, 6)
+    code = code_from_multiplicity(MultiplicityVector(2, m))
+    assert _verified(code, 5, exact=True) == 5
+    with pytest.raises(AssertionError, match="distance 5, search reported 6"):
+        _verified(code, 6, exact=False)
+    # a heavier witness passes as "at least d" only
+    assert _verified(code, 4, exact=False) == 5
+    with pytest.raises(AssertionError, match="distance 5, search reported 4"):
+        _verified(code, 4, exact=True)
+
+
+def test_exhaustive_rejects_witness_heavier_than_its_walk(monkeypatch):
+    # with the scan started one below the Griesmer bound, a walk at d that
+    # hands back the real walk's witness at d + 1 is a fault: its code has
+    # distance d + 1, which the exact re-check refuses
+    griesmer, walk = search.griesmer_max_d, search._enumerate_multiplicities
+
+    def heavier(n, k, d, store=None):
+        m, examined = walk(n, k, d + 1, store)
+        return (m, examined) if m is not None else walk(n, k, d, store)
+
+    monkeypatch.setattr(search, "griesmer_max_d", lambda n, k: griesmer(n, k) - 1)
+    monkeypatch.setattr(search, "_enumerate_multiplicities", heavier)
+    with pytest.raises(AssertionError, match="witness has distance 3, search reported 2"):
+        exhaustive_dh(4, 2)
 
 
 def _shift_minimum_up(counts):
