@@ -1,6 +1,11 @@
 """Classical bounds and closed-form largest-distance values for quaternary
 codes with one-dimensional Hermitian hull.
 
+For k <= 3 < n the largest hull-1 distance is the Griesmer bound, less one
+when n mod (2, 5, 21) for k = (1, 2, 3) is a deficit residue of that
+dimension (`_DEFICITS`).  The residue n = 21s + 5 of dimension 3 is open
+beyond n = 5 and 26: there the value is only a lower bound.
+
 All arithmetic is exact; the sphere-packing test uses Python big integers.
 The n <= 12 table is stored literally because it is not derivable from the
 closed forms alone.
@@ -81,30 +86,23 @@ def sphere_packing_max_d(n, k):
     return d
 
 
-# The largest hull-1 distance for k = 3, by residue of n mod 21.  Value is
-# 16*(n // 21) + offset; None marks the open residue (n = 21s + 5), which is
-# only a lower bound beyond the settled small cases.
-_K3_OFFSET = {
-    0: -1, 1: 0, 2: 0, 3: 1, 4: 2, 5: None, 6: 3, 7: 4, 8: 5, 9: 6,
-    10: 6, 11: 7, 12: 8, 13: 9, 14: 10, 15: 10, 16: 11, 17: 12, 18: 13,
-    19: 14, 20: 14,
+# k -> (period, the residues of n mod period one below the Griesmer bound)
+_DEFICITS = {
+    1: (2, frozenset({1})),
+    2: (5, frozenset({0, 3})),
+    3: (21, frozenset({0, 5, 6, 10, 11, 15, 16, 20})),
 }
 
-# n = 21s + 5 instances settled by the length <= 35 classification
-_K3_RESIDUE5_EXACT = {5: 2, 26: 18}
+# n = 21s + 5 lengths settled by the length <= 35 classification; every
+# other length of that k = 3 residue has its value as a lower bound only
+_K3_RESIDUE5_SETTLED = frozenset({5, 26})
 
 
 def k3_value(n):
-    """D-value for dimension 3 at length n >= 4 (piecewise in n mod 21)."""
+    """D-value for dimension 3 at length n >= 4."""
     if n < 4:
         raise OutOfRangeError("need n >= 4 for k = 3")
-    s, t = divmod(n, 21)
-    offset = _K3_OFFSET[t]
-    if offset is None:
-        if n in _K3_RESIDUE5_EXACT:
-            return DhValue(_K3_RESIDUE5_EXACT[n], True)
-        return DhValue(16 * s + 2, False)
-    return DhValue(16 * s + offset, True)
+    return dh_closed_form(n, 3)
 
 
 def dh_closed_form(n, k):
@@ -115,25 +113,17 @@ def dh_closed_form(n, k):
     """
     if n < 2 or not 1 <= k <= n:
         return None
-    if k == 1:
-        return DhValue(n if n % 2 == 0 else n - 1, True)
+    if k <= 3 < n:
+        period, deficit = _DEFICITS[k]
+        t = n % period
+        exact = (k, t) != (3, 5) or n in _K3_RESIDUE5_SETTLED
+        return DhValue(griesmer_max_d(n, k) - (t in deficit), exact)
     if k == n - 1:
-        return DhValue(2 if n % 2 == 0 else 1, True)
-    if k == 2 and n >= 3:
-        base = 4 * n // 5
-        return DhValue(base - 1 if n % 5 in (0, 3) else base, True)
-    if k == 3 and n >= 4:
-        return k3_value(n)
-    if k == n - 2 and n >= 3:
-        return DhValue(3 if n == 4 else 2, True)
-    if k == n - 3 and n >= 4:
-        if n == 4:
-            d = 4
-        elif n <= 19:
-            d = 3
-        else:
-            d = 2
-        return DhValue(d, True)
+        return DhValue(2 - n % 2, True)
+    if k == n - 2:
+        return DhValue(2, True)
+    if k == n - 3:
+        return DhValue(3 if n <= 19 else 2, True)
     return None
 
 

@@ -39,12 +39,21 @@ CONJ.setflags(write=False)
 
 
 def as_matrix(rows):
-    """Build a uint8 GF(4) matrix from nested lists (or pass arrays through)."""
-    m = np.asarray(rows, dtype=np.uint8)
+    """Build a uint8 GF(4) matrix from nested lists (or pass uint8 arrays
+    through).  A 1-D input is one row and an empty one is 0 x 0.
+
+    Raises ValueError for more than 2 axes or for an entry that is not an
+    integer in 0..3, checked before the cast, which would wrap or truncate.
+    """
+    m = np.asarray(rows)
+    if m.ndim > 2:
+        raise ValueError(f"a matrix has at most 2 axes, got {m.ndim}")
+    if m.size and (m.dtype.kind not in "buif" or not 0 <= m.min() <= m.max() <= 3
+                   or m.dtype.kind == "f" and (m % 1).any()):
+        raise ValueError("entries must be integers in 0..3")
+    m = m.astype(np.uint8, copy=False)
     if m.ndim != 2:
         m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
-    if m.size and m.max() > 3:
-        raise ValueError("entries must be in 0..3")
     return m
 
 

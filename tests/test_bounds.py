@@ -123,6 +123,17 @@ def test_k3_range_check():
         k3_value(3)
 
 
+@pytest.mark.parametrize("k, period, gain", [(1, 2, 2), (2, 5, 4), (3, 21, 16)])
+def test_low_dimension_values_are_periodic(k, period, gain):
+    # the Griesmer bound grows by `gain` per period and the deficit
+    # residues repeat; `exact` changes across a period only from the
+    # settled n = 26 to the open n = 47
+    for n in range(k + 1, 2001 - period):
+        v, w = dh_closed_form(n, k), dh_closed_form(n + period, k)
+        assert w.d == v.d + gain, n
+        assert (w.exact == v.exact) != ((n, k) == (26, 3)), n
+
+
 def test_high_dimension_values():
     assert dh_closed_form(6, 5).d == 2   # k = n - 1, even
     assert dh_closed_form(7, 6).d == 1   # k = n - 1, odd

@@ -39,6 +39,12 @@ def test_from_generator_zero_matrix():
         LinearCode(np.zeros((0, 3), dtype=np.uint8)).min_distance()
 
 
+def test_from_generator_rejects_entries_outside_gf4():
+    # a uint8 cast would read 256 as 0 and build the code of [[0, 1, 1]]
+    with pytest.raises(ValueError, match="0..3"):
+        LinearCode.from_generator(np.array([[256, 1, 1]]))
+
+
 def test_init_leaves_callers_array_writable():
     g = np.eye(2, dtype=np.uint8)
     c = LinearCode(g)

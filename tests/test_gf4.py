@@ -53,6 +53,30 @@ def test_field_axioms(a, b, c):
     assert a ^ a == 0
 
 
+def test_as_matrix_accepts_integral_entries():
+    expected = np.array([[1, 0, 3]], dtype=np.uint8)
+    for rows in ([[1, 0, 3]], [1, 0, 3], np.array([[1, 0, 3]]),
+                 np.array([[1.0, 0.0, 3.0]]), expected):
+        m = gf4.as_matrix(rows)
+        assert m.dtype == np.uint8 and np.array_equal(m, expected)
+    assert gf4.as_matrix(expected) is expected
+    assert np.array_equal(gf4.as_matrix(np.array([[True, False]])), [[1, 0]])
+    for empty in ([], np.zeros(0, dtype=np.uint8)):
+        assert gf4.as_matrix(empty).shape == (0, 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[-1, 1]], [[256, 1, 1]], [[4]], np.array([[256, 1, 1]]),
+    np.array([[1.9, 1.0, 3.5]]), np.array([[np.nan, 1.0]]), [[2**70]],
+    [["1", "0"]], np.ones((2, 2, 2), dtype=np.uint8),
+])
+def test_as_matrix_rejects_what_a_cast_would_change(rows):
+    # a uint8 cast wraps 256 to 0, truncates 1.9 to 1 and flattens a 3-axis
+    # array into one row; each is an error instead
+    with pytest.raises(ValueError):
+        gf4.as_matrix(rows)
+
+
 def test_rref_identity():
     i3 = np.eye(3, dtype=np.uint8)
     r, pivots = gf4.rref(i3)

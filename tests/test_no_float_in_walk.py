@@ -1,7 +1,7 @@
 import ast
 from pathlib import Path
 
-from hullforge import search
+from hullforge import bounds, search
 
 # the k <= 3 walk and its callers: every value they compute is an exact
 # int, so no true division and no float constant may appear in them
@@ -9,18 +9,34 @@ WALK = {"multiplicity_bounds", "_ProjectiveGeometry", "_enumerate_multiplicities
         "_drop_tables", "exhaustive_dh", "certify_nonexistence"}
 
 
-def test_walk_has_no_floats():
-    # a float stops telling neighbouring ints apart from about 2^53, and
-    # the walk takes n up to about 2^58
-    path = Path(search.__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    defs = [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in WALK]
-    assert {node.name for node in defs} == WALK
-    found = [
+def _parse(module):
+    path = Path(module.__file__)
+    return path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _float_sites(path, tops):
+    return [
         f"{path.name}:{node.lineno}"
-        for top in defs for node in ast.walk(top)
+        for top in tops for node in ast.walk(top)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         or isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
+
+
+def test_walk_has_no_floats():
+    # a float stops telling neighbouring ints apart from about 2^53, and
+    # the walk takes n up to about 2^58
+    path, tree = _parse(search)
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in WALK]
+    assert {node.name for node in defs} == WALK
+    found = _float_sites(path, defs)
     assert not found, f"true division or float constants in the k <= 3 walk: {found}"
+
+
+def test_bounds_have_no_floats():
+    # the walk's column bounds and the k <= 3 closed forms read the Griesmer
+    # bound at n of about 2^54, where a float no longer holds every int
+    path, tree = _parse(bounds)
+    found = _float_sites(path, [tree])
+    assert not found, f"true division or float constants in bounds: {found}"

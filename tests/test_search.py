@@ -17,6 +17,7 @@ from conftest import (
 )
 from hullforge import gf4, hull, search
 from hullforge.bounds import (
+    _DEFICITS,
     dh_closed_form,
     griesmer_max_d,
     k3_value,
@@ -352,6 +353,40 @@ def test_gram_rank_matches_numpy_gram(rng, k):
             packed ^= geo.gram_bits[i]
         g = np.repeat(s, m, axis=1)
         assert geo.gram_rank(packed) == gf4.rank(gf4.hermitian_gram(g))
+
+
+@pytest.mark.parametrize("k, meets", [(2, 4), (3, 16)])
+def test_geometry_facts_of_the_shift_argument(k, meets):
+    # every message class is nonzero on the same number of columns, so
+    # adding 1 to every multiplicity adds the same weight to each class;
+    # the rank-one Gram blocks XOR to 0, so it leaves the Gram matrix alone
+    geo = search._geometry(k)
+    assert (geo.incidence.sum(axis=1) == meets).all()
+    packed = 0
+    for block in geo.gram_bits:
+        packed ^= block
+    assert packed == 0
+
+
+# t -> (a_t, b_t): at n = 21s + t and d = griesmer_max_d(n, 3), the column
+# bounds are [max(0, s + a_t), s + b_t], for the k = 3 deficit residues t
+_K3_SHIFTED_BOUNDS = {0: (0, 0), 5: (-3, 1), 6: (-2, 1), 10: (-2, 1),
+                      11: (-1, 1), 15: (-1, 1), 16: (0, 1), 20: (0, 1)}
+
+
+@pytest.mark.parametrize("t", sorted(_DEFICITS[3][1]))
+def test_k3_deficit_bounds_move_by_one_per_period(t):
+    # one certificate at Griesmer d per deficit residue settles every
+    # later s: its column bounds shift by s, and the length n - 1 is
+    # never walked, since the Griesmer bound there is already below d
+    a, b = _K3_SHIFTED_BOUNDS[t]
+    for s in [*range(61), 2**50 + 2]:
+        n = 21 * s + t
+        if n < 4:
+            continue
+        d = griesmer_max_d(n, 3)
+        assert multiplicity_bounds(n, 3, d) == (max(0, s + a), s + b), s
+        assert griesmer_max_d(n - 1, 3) < d, s
 
 
 def test_exhaustive_rejects_length_below_k():
