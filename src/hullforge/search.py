@@ -12,11 +12,16 @@ it reaches at a fixed depth is settled over a table of every completion of
 the remaining columns, in the DFS's own order, by ANDing one row bitset per
 projective class: bit r of a class's bitset says that row r lifts that
 class's weight to the bound, so the AND holds exactly the rows that lift
-every class.  A class's bitsets are keyed by what the row must add, the
-bound less the class's prefix weight, so a table and its bitsets depend on
-the multiplicity bounds and the lane width alone, never on n or d: the
-walks of one exhaustive column share them in one store, which lives as
-long as the call.  That store is the only state that walks share.
+every class.  A table's rows are composed in numpy from the completions of
+its shorter tails, not walked.  A walk settles on tables of at most
+_TABLE_ROWS rows; one that settles more than _SETTLE_LIMIT nodes restarts
+on tables of up to _RESTART_ROWS rows, which settle far fewer nodes, and
+returns the same witness and count.  A class's bitsets are keyed by what
+the row must add, the bound less the class's prefix weight, so a table and
+its bitsets depend on the multiplicity bounds, the lane width and the
+table's span alone, never on n or d: the walks of one exhaustive column
+share them in one store, which lives as long as the call.  That store is
+the only state that walks share.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
 pass over the budget, with one running best, that starts a new RNG stream
@@ -67,8 +72,11 @@ from .exceptions import UnsupportedError
 from .hull import hull_dim
 
 _RANDOM_CHUNK = 1024
-# most rows, width**span, in one settled-subtree table of the k <= 3 DFS
-_TABLE_ROWS = 1024
+# most rows, width**span, in one settled-subtree table of the k <= 3 DFS,
+# and in one after a walk passes _SETTLE_LIMIT settles and restarts
+_TABLE_ROWS = 4096
+_RESTART_ROWS = 59049
+_SETTLE_LIMIT = 3000
 # the struct code of an unsigned little-endian weight lane of each width
 _LANE_CODES = {16: "H", 32: "I", 64: "Q"}
 
@@ -233,19 +241,40 @@ def _enumerate_multiplicities(n, k, d, store=None):
     every row meets a need at or below the class's least sum and none meets
     one above its largest: those entries are the shared all-ones int and 0,
     and the first need between the two builds the class's whole band of
-    ints with one compare and one `packbits`.  `span` is the largest value
-    with width^span <= _TABLE_ROWS, width = upper - lower + 1, but at least
-    2 and at most length.
+    ints with one compare and one `packbits`.
+
+    A table's rows are composed in numpy, not walked: the completions of a
+    remaining sum from position p, `completions(p, remaining)`, are one
+    int64 array, the concatenation over the values v of p, in the DFS's
+    order, of v joined to the completions of remaining - v from p + 1, and
+    the last column takes the rest.  Each array is kept in a memo of the
+    walk, so the tables of one walk share their tails.  The lane sums are
+    then matmuls of the incidence and the rows in the lane's own width
+    (every partial sum of the non-negative terms is at most the whole, which
+    the lane holds), and the Gram XORs one XOR-reduce over the odd columns.
+
+    `span` is the largest value with width^span <= rows, width = upper -
+    lower + 1, but at least 2 and at most length (`_table_span`).  A walk
+    first takes rows = _TABLE_ROWS.  Once it has settled more than
+    _SETTLE_LIMIT nodes it is a long walk, and, when the span for
+    _RESTART_ROWS rows is larger, it restarts from scratch on that span:
+    fewer, larger settles.  The restart cannot move a witness or a count:
+    at every span the rows come in the DFS's own order and each vector gets
+    the same per-class comparisons, so both spans visit the same vectors in
+    the same order, and the restart only wastes the at most _SETTLE_LIMIT
+    settles before it.  Short walks, among them every walk of the k = 3
+    column to n = 25, never restart, and keep the small tables.
 
     The value orders, the tables with their lookups and the Gram ranks live
-    in `store`, a private dict: the orders and tables under (k, lower,
-    upper, bits), the ranks under ("ranks", k).  The walks of one exhaustive
-    column share it; that column is the only caller that passes a store.  A
-    value order depends only on (lower, upper), its position and the
-    remaining sum; a table's rows, its lane sums and its Gram XORs only on
-    (k, lower, upper), from which span and cut follow, and the remaining sum
-    at cut; and a lookup entry only on the sums and the need, never on n or
-    d.  So a table and its lookups serve every walk with the same key,
+    in `store`, a private dict: the orders under (k, lower, upper), the
+    tables under (k, lower, upper, bits, span), the ranks under ("ranks",
+    k).  The walks of one exhaustive column share it; that column is the
+    only caller that passes a store.  A value order depends only on (k,
+    lower, upper), its position and the remaining sum, so both spans of a
+    restart share it; a table's rows, its lane sums and its Gram XORs only
+    on (k, lower, upper, span), from which cut follows, and the remaining
+    sum at cut; and a lookup entry only on the sums and the need, never on
+    n or d.  So a table and its lookups serve every walk with the same key,
     whatever its n and d, and so does offset.  offset is kept small rather
     than 2^(bits-1), so that in most walks the keys are among the ints
     Python caches, which a settle neither allocates nor compares by value.
@@ -253,7 +282,7 @@ def _enumerate_multiplicities(n, k, d, store=None):
     own width (int16, int32 or int64), which also makes the compare of a
     band a narrow one: a deepest-prune sum is at most 3n, which the lane
     holds by construction.  With no store the walk makes its own, which is
-    freed on return.
+    freed on return, as is the memo of completions.
 
     A d < 1 would overfill the lanes, so it raises ValueError; a lane of
     more than 64 bits raises UnsupportedError.
@@ -287,27 +316,17 @@ def _enumerate_multiplicities(n, k, d, store=None):
     if bits is None:
         raise UnsupportedError(f"n={n} is too large for 64-bit weight lanes")
     inc, suffix, ones, lanes = geo.columns(bits)
-    width = upper - lower + 1
-    span = 2
-    while span < length and width ** (span + 1) <= _TABLE_ROWS:
-        span += 1
-    cut = length - span
     high = ones << (bits - 1)
     bias = high - d * ones
     # lane x of base - weights is offset + d - W_x, the key of class x's need
     offset = upper * length
     base = (offset + d) * ones
-    # weights + prune[pos] has every top bit set iff a maxed-out suffix from
-    # pos on can still lift every weight to d
-    prune = [upper * col + bias for col in suffix[: cut + 1]]
     unpack = lanes.unpack
     size = lanes.size
-    # (pos, remaining) -> value order, lo and hi following from both; and
-    # remaining at cut -> table(remaining)
-    orders, tables = store.setdefault((k, lower, upper, bits), ({}, {}))
-    m = [0] * length  # recurse sets m[:cut], fill sets m[cut:]
-    examined = 0
-    witness = None
+    # (pos, remaining) -> value order, lo and hi following from both
+    orders = store.setdefault((k, lower, upper), {})
+    memo = {}  # (pos, remaining) -> completions(pos, remaining)
+    m = [0] * length  # recurse sets m[:cut]
 
     def values(pos, remaining):
         order = orders.get((pos, remaining))
@@ -324,107 +343,157 @@ def _enumerate_multiplicities(n, k, d, store=None):
             orders[pos, remaining] = order
         return order
 
-    def fill(pos, remaining, out):
-        # append every completion (m_pos..m_last) to out, in DFS order; the
-        # last column takes the rest
-        if pos == last:
-            m[last] = remaining
-            out += m[cut:]
-            return
-        for v in values(pos, remaining):
-            m[pos] = v
-            fill(pos + 1, remaining - v, out)
-
-    incidence = geo.incidence[:, cut:]
-    ceiling = upper * geo.suffix[:, last - 1: last]
-    blocks = np.array(gram_bits[cut:], dtype=np.int64)
-
-    def table(remaining):
-        # the completions in DFS order (flat, span values a row), their
-        # number R, the Gram parity XOR of each row and one lookup per
-        # class; then, for look_up, the bitset with all 2R bits set and per
-        # class x and row r the lane sums through last - 2 with the
-        # maxed-out last two columns (the deepest prune) at r, the weights
-        # of the whole completion at R + r, in the lane's width, and the
-        # least and largest sum
-        out = []
-        fill(cut, remaining, out)
-        rows = np.array(out, dtype=np.int64).reshape(-1, span)
-        partial = incidence[:, :-2] @ rows[:, :-2].T
-        sums = np.hstack([partial + ceiling, partial + incidence[:, -2:] @ rows[:, -2:].T])
-        sums = sums.astype(f"int{bits}")
-        grams = np.bitwise_xor.reduce(np.where(rows % 2 == 1, blocks, 0), axis=1)
-        band = ((1 << 2 * len(rows)) - 1, sums, sums.min(axis=1).tolist(),
-                sums.max(axis=1).tolist())
-        return out, len(rows), grams.tolist(), [{} for _ in range(length)], band
-
-    def look_up(look, band, x, key):
-        # fill class x's lookup at key = offset + need; see the docstring
-        full, sums, least, most = band
-        need = key - offset
-        if need <= least[x]:
-            look[key] = full
-        elif need > most[x]:
-            look[key] = 0
-        else:
-            needs = np.arange(least[x] + 1, most[x] + 1, dtype=sums.dtype)
-            packed = np.packbits(sums[x] >= needs[:, None], axis=1, bitorder="little")
-            for need, row in zip(needs.tolist(), packed):
-                look[offset + need] = int.from_bytes(row.tobytes(), "little")
-
-    def settle(remaining, weights, gram):
-        nonlocal examined, witness
-        found = tables.get(remaining)
+    def completions(pos, remaining):
+        # every completion (m_pos..m_last), in DFS order; see the docstring
+        found = memo.get((pos, remaining))
         if found is None:
-            found = tables[remaining] = table(remaining)
-        out, count, grams, looks, band = found
-        keys = unpack((base - weights).to_bytes(size, "little"))
+            order = values(pos, remaining)
+            if pos == last - 1:
+                # the last column takes the rest
+                found = np.array([(v, remaining - v) for v in order], dtype=np.int64)
+            else:
+                tails = [completions(pos + 1, remaining - v) for v in order]
+                counts = [len(tail) for tail in tails]
+                found = np.empty((sum(counts), length - pos), dtype=np.int64)
+                found[:, 0] = np.repeat(order, counts)
+                np.concatenate(tails, out=found[:, 1:])
+            memo[pos, remaining] = found
+        return found
+
+    def walk(span, limit):
+        # the walk over tables of `span` columns; past `limit` settles (None
+        # for no limit) it raises _Restart
+        cut = length - span
+        # weights + prune[pos] has every top bit set iff a maxed-out suffix
+        # from pos on can still lift every weight to d
+        prune = [upper * col + bias for col in suffix[: cut + 1]]
+        # remaining at cut -> table(remaining)
+        tables = store.setdefault((k, lower, upper, bits, span), {})
+        lane = np.dtype(f"int{bits}")
+        incidence = geo.incidence[:, cut:].astype(lane)
+        ceiling = (upper * geo.suffix[:, last - 1: last]).astype(lane)
+        blocks = np.array(gram_bits[cut:], dtype=np.int64)
+        examined = 0
+        witness = None
+        settled = 0
+
+        def table(remaining):
+            # the completions in DFS order, their number R, the Gram parity
+            # XOR of each row and one lookup per class; then, for look_up,
+            # the bitset with all 2R bits set and per class x and row r the
+            # lane sums through last - 2 with the maxed-out last two columns
+            # (the deepest prune) at r, the weights of the whole completion
+            # at R + r, in the lane's width, and the least and largest sum
+            rows = completions(cut, remaining)
+            count = len(rows)
+            columns = rows.T.astype(lane)
+            sums = np.empty((length, 2 * count), dtype=lane)
+            np.matmul(incidence[:, :-2], columns[:-2], out=sums[:, count:])
+            np.add(sums[:, count:], ceiling, out=sums[:, :count])
+            sums[:, count:] += incidence[:, -2:] @ columns[-2:]
+            grams = np.bitwise_xor.reduce((rows & 1) * blocks, axis=1)
+            band = ((1 << 2 * count) - 1, sums, sums.min(axis=1).tolist(),
+                    sums.max(axis=1).tolist())
+            return rows, count, grams.tolist(), [{} for _ in range(length)], band
+
+        def look_up(look, band, x, key):
+            # fill class x's lookup at key = offset + need; see the docstring
+            full, sums, least, most = band
+            need = key - offset
+            if need <= least[x]:
+                look[key] = full
+            elif need > most[x]:
+                look[key] = 0
+            else:
+                needs = np.arange(least[x] + 1, most[x] + 1, dtype=sums.dtype)
+                packed = np.packbits(sums[x] >= needs[:, None], axis=1, bitorder="little")
+                for need, row in zip(needs.tolist(), packed):
+                    look[offset + need] = int.from_bytes(row.tobytes(), "little")
+
+        def settle(remaining, weights, gram):
+            nonlocal examined, witness, settled
+            settled += 1
+            if limit is not None and settled > limit:
+                raise _Restart
+            found = tables.get(remaining)
+            if found is None:
+                found = tables[remaining] = table(remaining)
+            rows, count, grams, looks, band = found
+            keys = unpack((base - weights).to_bytes(size, "little"))
+            try:
+                hits = reduce(and_, map(getitem, looks, keys))
+            except KeyError:
+                for x, key in enumerate(keys):
+                    if key not in looks[x]:
+                        look_up(looks[x], band, x, key)
+                hits = reduce(and_, map(getitem, looks, keys))
+            # the rows that pass the deepest prune are the low R bits, and
+            # the rows whose whole completion reaches d the high R bits
+            reached = hits >> count
+            while reached:
+                low = reached & -reached
+                r = low.bit_length() - 1
+                if hull_one(gram ^ grams[r]):
+                    examined += (hits & (2 * low - 1)).bit_count()
+                    witness = tuple(m[:cut] + rows[r].tolist())
+                    return
+                reached ^= low
+            examined += (hits & ((1 << count) - 1)).bit_count()
+
+        def recurse(pos, remaining, weights, gram):
+            # the caller has checked prune[pos]
+            if pos == cut:
+                settle(remaining, weights, gram)
+                return
+            step = inc[pos]
+            block = gram_bits[pos]
+            ahead = prune[pos + 1]
+            for v in values(pos, remaining):
+                w = weights + v * step
+                if (w + ahead) & high != high:
+                    continue
+                m[pos] = v
+                recurse(pos + 1, remaining - v, w, gram ^ block if v % 2 else gram)
+                if witness is not None:
+                    return
+
         try:
-            hits = reduce(and_, map(getitem, looks, keys))
-        except KeyError:
-            for x, key in enumerate(keys):
-                if key not in looks[x]:
-                    look_up(looks[x], band, x, key)
-            hits = reduce(and_, map(getitem, looks, keys))
-        # the rows that pass the deepest prune are the low R bits, and the
-        # rows whose whole completion reaches d the high R bits
-        reached = hits >> count
-        while reached:
-            low = reached & -reached
-            r = low.bit_length() - 1
-            if hull_one(gram ^ grams[r]):
-                examined += (hits & (2 * low - 1)).bit_count()
-                witness = tuple(m[:cut] + out[r * span: (r + 1) * span])
-                return
-            reached ^= low
-        examined += (hits & ((1 << count) - 1)).bit_count()
+            if prune[0] & high == high:
+                recurse(0, n, 0, 0)
+        finally:
+            # the recursive closure holds itself; breaking the cycle frees
+            # its tables now instead of at the next cyclic garbage collection
+            recurse = None
+        return witness, examined
 
-    def recurse(pos, remaining, weights, gram):
-        # the caller has checked prune[pos]
-        if pos == cut:
-            settle(remaining, weights, gram)
-            return
-        step = inc[pos]
-        block = gram_bits[pos]
-        ahead = prune[pos + 1]
-        for v in values(pos, remaining):
-            w = weights + v * step
-            if (w + ahead) & high != high:
-                continue
-            m[pos] = v
-            recurse(pos + 1, remaining - v, w, gram ^ block if v % 2 else gram)
-            if witness is not None:
-                return
-
+    # a walk that settles more than _SETTLE_LIMIT nodes on tables of at most
+    # _TABLE_ROWS rows restarts on tables of at most _RESTART_ROWS
+    width = upper - lower + 1
+    first = _table_span(width, length, _TABLE_ROWS)
+    large = _table_span(width, length, _RESTART_ROWS)
     try:
-        if prune[0] & high == high:
-            recurse(0, n, 0, 0)
+        if large > first:
+            try:
+                return walk(first, _SETTLE_LIMIT)
+            except _Restart:
+                pass
+        return walk(large, None)
     finally:
-        # the recursive closures hold themselves; breaking those cycles frees
-        # a store the walk made now instead of at the next cyclic garbage
-        # collection
-        recurse = fill = None
-    return witness, examined
+        # completions holds itself too, and with it the memo
+        completions = None
+
+
+def _table_span(width, length, rows):
+    """The columns of a settle table of at most `rows` rows: the largest
+    span with width**span <= rows, but at least 2 and at most length."""
+    span = 2
+    while span < length and width ** (span + 1) <= rows:
+        span += 1
+    return span
+
+
+class _Restart(Exception):
+    """A walk passed its settle limit; it restarts on larger tables."""
 
 
 def _drop_tables(store, least_upper):

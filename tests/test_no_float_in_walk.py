@@ -6,7 +6,8 @@ from hullforge import bounds, search
 # the k <= 3 walk and its callers: every value they compute is an exact
 # int, so no true division and no float constant may appear in them
 WALK = {"multiplicity_bounds", "_ProjectiveGeometry", "_enumerate_multiplicities",
-        "_drop_tables", "exhaustive_dh", "certify_nonexistence"}
+        "_table_span", "_Restart", "_drop_tables", "exhaustive_dh",
+        "certify_nonexistence"}
 
 
 def _parse(module):

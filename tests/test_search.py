@@ -118,6 +118,25 @@ def test_certificate_traversal_counts(n, d, examined):
     assert cert.vectors_examined == examined
 
 
+def test_exhaustive_k3_column_to_46():
+    # the repo's own search re-derives every k = 3 value of `bounds` to
+    # n = 46, n = 26 among them, whose value `bounds` takes from an outside
+    # classification; the cumulative counts show any change in pruning
+    column = exhaustive_column(46, 3)
+    assert {n: column[n].best_d for n in range(4, 47)} == \
+        {n: k3_value(n).d for n in range(4, 47)}
+    assert {n: column[n].explored for n in (30, 35, 46)} == \
+        {30: 269018917, 35: 283840794, 46: 283933551}
+
+
+@pytest.mark.parametrize("n, d, examined", [
+    (26, 19, 174607146), (27, 20, 93966904), (31, 23, 10639286),
+])
+def test_long_walk_counts(n, d, examined):
+    # walks long enough to restart on the large tables, with no witness
+    assert _enumerate_multiplicities(n, 3, d) == (None, examined)
+
+
 def test_weight_lanes_do_not_overflow_at_large_n():
     # raising every multiplicity by an even s keeps the Gram parity and adds
     # 16s to every weight, so the DFS at (21s + 16, 3, 16s + 12) is the one
@@ -237,9 +256,9 @@ def test_table_walk_matches_recursive_oracle():
             oracle_enumerate_multiplicities(n, k, d), (n, k, d)
 
 
-def test_walk_frees_its_tables():
+def test_walk_frees_its_tables(monkeypatch):
     # the settled-subtree tables must not outlive the call, not even when
-    # the cyclic collector never runs
+    # the cyclic collector never runs, nor when the walk restarts
     search._geometry(3)
     enabled = gc.isenabled()
     gc.disable()
@@ -248,6 +267,11 @@ def test_walk_frees_its_tables():
         before = tracemalloc.get_traced_memory()[0]
         for n, d in ((10, 7), (11, 8), (15, 11), (2500, 1)):
             _enumerate_multiplicities(n, 3, d)
+        # multiplicities 0..1 take 12 columns in 4096 rows and 15 in 59049,
+        # so with a settle limit of 0 this walk restarts on 15
+        assert multiplicity_bounds(15, 3, 11) == (0, 1)
+        monkeypatch.setattr(search, "_SETTLE_LIMIT", 0)
+        _enumerate_multiplicities(15, 3, 11)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -268,6 +292,24 @@ def test_shared_store_matches_recursive_oracle():
     for n, k, d in grid:
         assert _enumerate_multiplicities(n, k, d, stores[k]) == \
             oracle_enumerate_multiplicities(n, k, d), (n, k, d)
+
+
+def test_restarted_walks_match_recursive_oracle(monkeypatch):
+    # with a settle limit of 0 every walk whose span can grow restarts on
+    # the large tables at its first settle; alone, and through one store
+    # per k in the shuffled order of the shared-store test, every case
+    # still gives the oracle's witness and count
+    monkeypatch.setattr(search, "_SETTLE_LIMIT", 0)
+    grid = list(ORACLE_GRID)
+    random.Random(2201).shuffle(grid)
+    stores = {k: {} for k in (1, 2, 3)}
+    for n, k, d in grid:
+        expected = oracle_enumerate_multiplicities(n, k, d)
+        assert _enumerate_multiplicities(n, k, d) == expected, (n, k, d)
+        assert _enumerate_multiplicities(n, k, d, stores[k]) == expected, (n, k, d)
+    # the tables of both spans were built: (k, lower, upper, bits, span)
+    spans = Counter(key[:4] for store in stores.values() for key in store if len(key) == 5)
+    assert max(spans.values()) == 2
 
 
 def test_column_store_is_freed():
