@@ -65,8 +65,9 @@ def sphere_packing_holds(n, k, d):
 def sphere_packing_max_d(n, k):
     """Largest d <= n - k + 1 passing the sphere-packing test.
 
-    The Singleton cap keeps the answer meaningful: the raw inequality is not
-    monotone in d (even/odd d share a packing radius).
+    The raw test is monotone in d, as the radius (d - 1) // 2 never
+    decreases, but alone it passes d above n - k + 1: at k = n it passes
+    d = 2.  The Singleton cap keeps the answer a distance some code can have.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")

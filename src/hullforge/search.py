@@ -6,7 +6,8 @@ equivalent to a code whose generator columns are simplex columns with
 multiplicities m_i, so enumerating m with column-count pruning is a complete
 search over that class.  Codes with a zero column (dual distance 1) are
 covered by the result at length n - 1; the lengths k..n are solved bottom-up,
-in one loop.
+in one loop.  At each length d is scanned down from the Griesmer bound: at
+k <= 3 the sphere-packing bound never lies below it (`exhaustive_dh`).
 The walk is a DFS on packed Python ints over the leading columns; each node
 it reaches at a fixed depth is settled over a table of every completion of
 the remaining columns, in the DFS's own order, by ANDing one row bitset per
@@ -179,17 +180,21 @@ def _geometry(k):
 
 
 def multiplicity_bounds(n, k, d):
-    """Per-column multiplicity interval implied by minimum weight >= d."""
-    if k >= 3:
-        lower = max(0, 4 * d - 3 * n)
-        # an integer ceiling: in floats it goes wrong from d of about 2^50
-        upper = n + -(4 ** (k - 1) - 1) * d // (3 * 4 ** (k - 2))
-    elif k == 2:
-        # each projective message class vanishes on exactly one column
-        lower, upper = 0, n - d
-    else:
+    """Per-column multiplicity interval implied by minimum weight >= d.
+
+    For k >= 2 the ceiling is a hyperplane count: (4^(k-1) - 1)/3 message
+    classes vanish on column i, and 4^(k-2) of them are nonzero on each
+    other column, so summing their weights gives
+    (n - m_i) * 4^(k-2) >= (4^(k-1) - 1) * d / 3.
+    """
+    if k == 1:
         # single column: its multiplicity is the whole length
-        lower, upper = 0, n
+        return 0, n
+    # 4d - 3n bounds k = 2 from below as well, but it changes that walk's
+    # counts and was measured slower there
+    lower = max(0, 4 * d - 3 * n) if k >= 3 else 0
+    # an integer ceiling: in floats it goes wrong from d of about 2^50
+    upper = n + -(4 ** (k - 1) - 1) * d // (3 * 4 ** (k - 2))
     return lower, min(upper, n)
 
 
@@ -520,12 +525,21 @@ def _verified(code, d, exact):
 def exhaustive_dh(n, k):
     """Exact largest hull-1 distance for k in {1, 2, 3}.
 
-    At each length, scans d downward from the classical bounds to one above
+    At each length, scans d downward from the Griesmer bound to one above
     the best distance at the length before; the first d with a
     multiplicity-vector witness is exact, and with none the zero-column
     lift of the shorter witness keeps that best.  `explored` is cumulative
     over the lengths k..n, and `shorter` links the outcome at n - 1, so one
     call yields the whole column.
+
+    The Griesmer bound alone sets the top: at k <= 3 sphere packing never
+    binds below it.  For k = 3, 2, 1, d = griesmer_max_d(n, k) is at most
+    16n/21, 4n/5 or n, so the packing radius r = (d - 1) // 2 is below
+    8n/21, 2n/5 or n/2.  The volume bound V(n, r) <= 4^(n H_4(r/n)), with
+    H_4 below 0.782, 0.803 or 0.897 there, gives 4^k V <= 4^n from n = 14
+    on.  The volume never shrinks as d grows, and d <= n - k + 1, so
+    `sphere_packing_max_d` reaches that d.  `tests/test_bounds.py` checks
+    the same for every n <= 400.
 
     One loop solves the lengths k..n bottom-up, each from the outcome at
     the length before, so the call depth stays flat for any n.  Every walk
@@ -538,7 +552,7 @@ def exhaustive_dh(n, k):
     table it built.
 
     The re-check of a walk's witness is exact: the walk at d + 1 of the
-    same length found none, or d is the classical bound, so a witness of
+    same length found none, or d is the Griesmer bound, so a witness of
     distance other than d is a fault of the walk.
     """
     if k not in (1, 2, 3):
@@ -554,8 +568,7 @@ def exhaustive_dh(n, k):
         # bound an upper bound of at least ceil(d / 4^(k-1)): the tables
         # below that are never read again
         _drop_tables(store, -(-(shorter_best_d + 1) // 4 ** (k - 1)))
-        dmax = min(griesmer_max_d(length, k), sphere_packing_max_d(length, k))
-        for d in range(dmax, shorter_best_d, -1):
+        for d in range(griesmer_max_d(length, k), shorter_best_d, -1):
             m, examined = _enumerate_multiplicities(length, k, d, store)
             explored += examined
             if m is not None:
@@ -916,7 +929,8 @@ def random_search(n, k, target_d, seed, budget):
     if k > DEFAULT_ENUM_CAP:
         raise UnsupportedError(f"k={k} exceeds the distance cap {DEFAULT_ENUM_CAP}")
     m = n - k
-    # no [n, k] code has a larger distance
+    # no [n, k] code has a larger distance; unlike at k <= 3, sphere
+    # packing can bind here (at [6, 4] it allows 2, Griesmer 3)
     ceiling = min(griesmer_max_d(n, k), sphere_packing_max_d(n, k))
     best_d, best = 0, None  # best: the bytes of A in the best hull-1 [I | A]
     for start in range(0, budget, _RANDOM_CHUNK):

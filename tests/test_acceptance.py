@@ -140,21 +140,15 @@ _K3_REFERENCE = {
 
 
 def test_criterion_05_k3_exhaustion():
-    bad = []
-    timings = []
-    t_total = time.time()
-    for n in range(4, 23):
-        t0 = time.time()
-        got = exhaustive_dh(n, 3).best_d
-        timings.append((n, time.time() - t0))
-        if got != _K3_REFERENCE[n]:
-            bad.append((n, got, _K3_REFERENCE[n]))
-    total = time.time() - t_total
-    worst = max(timings, key=lambda t: t[1])
+    # one exhaustive_dh call solves the whole column, bottom-up
+    t0 = time.time()
+    column = conftest.exhaustive_column(22, 3)
+    total = time.time() - t0
+    bad = [(n, column[n].best_d, want) for n, want in _K3_REFERENCE.items()
+           if column[n].best_d != want]
     record(5, "k=3 exhaustion, 4 <= n <= 22",
            not bad and total < 1800,
-           f"total {total:.1f}s, slowest n={worst[0]} at {worst[1]:.1f}s"
-           if not bad else str(bad))
+           f"total {total:.2f}s" if not bad else str(bad))
 
 
 def test_criterion_06_nonexistence_certificates():

@@ -73,6 +73,14 @@ def test_sphere_packing_hamming_code():
     assert sphere_packing_max_d(5, 3) == 3
 
 
+def test_sphere_packing_never_binds_below_griesmer_at_low_dimension():
+    # why exhaustive_dh scans d from the Griesmer bound alone: the packing
+    # lemma in its docstring covers n >= 14, this range the rest and more
+    for k in (1, 2, 3):
+        for n in range(k, 401):
+            assert sphere_packing_max_d(n, k) >= griesmer_max_d(n, k), (n, k)
+
+
 @given(st.integers(2, 30), st.data())
 def test_max_d_values_are_consistent(n, data):
     k = data.draw(st.integers(1, n))

@@ -24,13 +24,18 @@ def _float_sites(path, tops):
     ]
 
 
-def test_walk_has_no_floats():
-    # a float stops telling neighbouring ints apart from about 2^53, and
-    # the walk takes n up to about 2^58
+def _walk_defs():
     path, tree = _parse(search)
     defs = [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in WALK]
     assert {node.name for node in defs} == WALK
+    return path, defs
+
+
+def test_walk_has_no_floats():
+    # a float stops telling neighbouring ints apart from about 2^53, and
+    # the walk takes n up to about 2^58
+    path, defs = _walk_defs()
     found = _float_sites(path, defs)
     assert not found, f"true division or float constants in the k <= 3 walk: {found}"
 
@@ -41,3 +46,17 @@ def test_bounds_have_no_floats():
     path, tree = _parse(bounds)
     found = _float_sites(path, [tree])
     assert not found, f"true division or float constants in bounds: {found}"
+
+
+def test_walk_reads_the_griesmer_bound_alone():
+    # at k <= 3 sphere packing never binds below the Griesmer bound
+    # (`exhaustive_dh`), so the walk and its callers name neither test
+    path, defs = _walk_defs()
+    packing = {"sphere_packing_max_d", "sphere_packing_holds"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for top in defs for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in packing
+        or isinstance(node, ast.Attribute) and node.attr in packing
+    ]
+    assert not found, f"a sphere-packing bound in the k <= 3 walk: {found}"

@@ -2,8 +2,10 @@ import gc
 import hashlib
 import random
 from collections import Counter
+from functools import reduce
 import tracemalloc
 from itertools import combinations, product
+from operator import xor
 
 import numpy as np
 import pytest
@@ -408,6 +410,40 @@ def test_geometry_facts_of_the_shift_argument(k, meets):
     for block in geo.gram_bits:
         packed ^= block
     assert packed == 0
+
+
+def _xor(blocks):
+    return reduce(xor, blocks, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gram_ranks_of_points_and_pairs(k):
+    # one point's Gram block has rank 1, any two distinct points' rank 2
+    geo = search._geometry(k)
+    for size in (1, 2):
+        for group in combinations(range(geo.length), size):
+            assert geo.gram_rank(_xor(geo.gram_bits[i] for i in group)) == size
+
+
+def test_gram_parity_facts_of_the_plane():
+    # the Gram blocks of PG(2, 4): each line's and each hyperoval's XOR to
+    # 0, a collinear triple has rank 2 and any other triple rank 3
+    geo = search._geometry(3)
+    points = range(geo.length)
+    lines = [frozenset(np.flatnonzero(row == 0)) for row in geo.incidence]
+    assert len(set(lines)) == 21 and {len(line) for line in lines} == {5}
+    for line in lines:
+        assert _xor(geo.gram_bits[i] for i in line) == 0
+    hyperovals = [six for six in combinations(points, 6)
+                  if all(len(line & set(six)) <= 2 for line in lines)]
+    assert len(hyperovals) == 168
+    for six in hyperovals:
+        assert _xor(geo.gram_bits[i] for i in six) == 0
+    ranks = Counter(
+        (any(set(triple) <= line for line in lines),
+         geo.gram_rank(_xor(geo.gram_bits[i] for i in triple)))
+        for triple in combinations(points, 3))
+    assert ranks == {(True, 2): 210, (False, 3): 1120}
 
 
 # t -> (a_t, b_t): at n = 21s + t and d = griesmer_max_d(n, 3), the column
