@@ -21,8 +21,9 @@ returns the same witness and count.  A class's bitsets are keyed by what
 the row must add, the bound less the class's prefix weight, so a table and
 its bitsets depend on the multiplicity bounds, the lane width and the
 table's span alone, never on n or d: the walks of one exhaustive column
-share them in one store, which lives as long as the call.  That store is
-the only state that walks share.
+share them in one store, which lives as long as the call.  Walks also
+share the geometry's cached constants of k alone (`_geometry`, its lane
+columns and its Gram ranks), which live as long as the process.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
 pass over the budget, with one running best, that starts a new RNG stream
@@ -128,6 +129,12 @@ class _ProjectiveGeometry:
     `gf4._eliminate`.  `columns(bits)` packs the incidence and suffix
     columns once per lane width, and its `struct.Struct` reads a packed
     weight back as one Python int per lane.
+
+    Both are constants of k alone, like the instance that `_geometry`
+    caches, so each is an `lru_cache` for the process, filled lazily:
+    `columns` holds at most the three lane widths, and `gram_rank` at most
+    the 2^(k^2) Hermitian Grams, the XOR span of `gram_bits` (2, 16 and
+    512 for k = 1, 2, 3).  A walk ranks only the Grams it reaches.
     """
 
     def __init__(self, k):
@@ -147,27 +154,25 @@ class _ProjectiveGeometry:
         # shared by every walk through the _geometry cache
         self.incidence.setflags(write=False)
         self.suffix.setflags(write=False)
-        self._columns = {}  # bits -> columns(bits)
 
+    @lru_cache(maxsize=None)
     def columns(self, bits):
         """The incidence columns, the suffix columns and the all-ones
         vector, each packed into `bits`-bit lanes, and the `struct.Struct`
         that unpacks the lanes of such an int's `to_bytes`."""
-        found = self._columns.get(bits)
-        if found is None:
-            found = self._columns[bits] = (
-                [self.pack(self.incidence[:, i], bits) for i in range(self.length)],
-                [self.pack(self.suffix[:, i], bits) for i in range(self.length + 1)],
-                self.pack([1] * self.length, bits),
-                struct.Struct(f"<{self.length}{_LANE_CODES[bits]}"),
-            )
-        return found
+        return (
+            [self.pack(self.incidence[:, i], bits) for i in range(self.length)],
+            [self.pack(self.suffix[:, i], bits) for i in range(self.length + 1)],
+            self.pack([1] * self.length, bits),
+            struct.Struct(f"<{self.length}{_LANE_CODES[bits]}"),
+        )
 
     @staticmethod
     def pack(values, bits):
         """values[x] in lane x: bits [x * bits, (x + 1) * bits) of one int."""
         return sum(int(v) << (x * bits) for x, v in enumerate(values))
 
+    @lru_cache(maxsize=None)
     def gram_rank(self, packed):
         k = self.k
         rows = [packed >> (r * k) & ((1 << k) - 1) for r in range(2 * k)]
@@ -270,19 +275,21 @@ def _enumerate_multiplicities(n, k, d, store=None):
     settles before it.  Short walks, among them every walk of the k = 3
     column to n = 25, never restart, and keep the small tables.
 
-    The value orders, the tables with their lookups and the Gram ranks live
-    in `store`, a private dict: the orders under (k, lower, upper), the
-    tables under (k, lower, upper, bits, span), the ranks under ("ranks",
-    k).  The walks of one exhaustive column share it; that column is the
-    only caller that passes a store.  A value order depends only on (k,
-    lower, upper), its position and the remaining sum, so both spans of a
-    restart share it; a table's rows, its lane sums and its Gram XORs only
-    on (k, lower, upper, span), from which cut follows, and the remaining
-    sum at cut; and a lookup entry only on the sums and the need, never on
-    n or d.  So a table and its lookups serve every walk with the same key,
-    whatever its n and d, and so does offset.  offset is kept small rather
-    than 2^(bits-1), so that in most walks the keys are among the ints
-    Python caches, which a settle neither allocates nor compares by value.
+    The value orders and the tables with their lookups live in `store`, a
+    private dict: the orders under (k, lower, upper), the tables under (k,
+    lower, upper, bits, span), so every key holds its walk's bounds.  The
+    Gram ranks depend on k and the Gram alone, and come from the geometry's
+    process-wide `gram_rank` cache instead.  The walks of one exhaustive
+    column share the store; that column is the only caller that passes
+    one.  A value order depends only on (k, lower, upper), its position and
+    the remaining sum, so both spans of a restart share it; a table's rows,
+    its lane sums and its Gram XORs only on (k, lower, upper, span), from
+    which cut follows, and the remaining sum at cut; and a lookup entry only
+    on the sums and the need, never on n or d.  So a table and its lookups
+    serve every walk with the same key, whatever its n and d, and so does
+    offset.  offset is kept small rather than 2^(bits-1), so that in most
+    walks the keys are among the ints Python caches, which a settle neither
+    allocates nor compares by value.
     The sums, and the needs they are compared with, are kept in the lane's
     own width (int16, int32 or int64), which also makes the compare of a
     band a narrow one: a deepest-prune sum is at most 3n, which the lane
@@ -301,19 +308,12 @@ def _enumerate_multiplicities(n, k, d, store=None):
         return None, 0
     if store is None:
         store = {}
-    ranks = store.setdefault(("ranks", k), {})  # packed Gram -> rank
-
-    def hull_one(gram):
-        if gram not in ranks:
-            ranks[gram] = geo.gram_rank(gram)
-        return ranks[gram] == k - 1
-
     gram_bits = geo.gram_bits
     last = length - 1
     if last == 0:
         # k = 1: the single column takes all of n, which the checks above
         # put inside [lower, upper], so this one vector is the only leaf
-        hit = n >= d and hull_one(gram_bits[0] if n % 2 else 0)
+        hit = n >= d and geo.gram_rank(gram_bits[0] if n % 2 else 0) == k - 1
         return ((n,) if hit else None), 1
 
     fit = (max(n, d) * (length + 2)).bit_length() + 1
@@ -438,7 +438,7 @@ def _enumerate_multiplicities(n, k, d, store=None):
             while reached:
                 low = reached & -reached
                 r = low.bit_length() - 1
-                if hull_one(gram ^ grams[r]):
+                if geo.gram_rank(gram ^ grams[r]) == k - 1:
                     examined += (hits & (2 * low - 1)).bit_count()
                     witness = tuple(m[:cut] + rows[r].tolist())
                     return
@@ -503,8 +503,8 @@ class _Restart(Exception):
 
 def _drop_tables(store, least_upper):
     """Remove from `store` the value orders and tables of every key whose
-    upper multiplicity bound is below least_upper; the Gram ranks stay."""
-    for key in [key for key in store if key[0] != "ranks" and key[2] < least_upper]:
+    upper multiplicity bound is below least_upper."""
+    for key in [key for key in store if key[2] < least_upper]:
         del store[key]
 
 
@@ -543,13 +543,13 @@ def exhaustive_dh(n, k):
 
     One loop solves the lengths k..n bottom-up, each from the outcome at
     the length before, so the call depth stays flat for any n.  Every walk
-    of the call shares one store of value orders, settle tables and Gram
-    ranks (see `_enumerate_multiplicities`), which is freed on return:
-    nothing but the returned chain of outcomes outlives the call, and a
-    second call solves the column again.  Before each length the store
-    drops the tables that no later walk can read, so that a long column
-    keeps only the tables of the upper bounds still reachable, not every
-    table it built.
+    of the call shares one store of value orders and settle tables (see
+    `_enumerate_multiplicities`), which is freed on return: nothing but the
+    returned chain of outcomes and the geometry's constants of k outlives
+    the call, and a second call solves the column again.  Before each
+    length the store drops the tables that no later walk can read, so that
+    a long column keeps only the tables of the upper bounds still
+    reachable, not every table it built.
 
     The re-check of a walk's witness is exact: the walk at d + 1 of the
     same length found none, or d is the Griesmer bound, so a witness of
@@ -597,7 +597,8 @@ def certify_nonexistence(n, k, d):
     The walk at each of the lengths n, n - 1, ... makes its own store: over
     every certificate with k <= 3, n <= 26 and d up to the Griesmer bound,
     none read a table built at another length, so a shared store would
-    only share Gram ranks.  A d < 1 raises the walk's ValueError."""
+    share no table, and the Gram ranks are the geometry's, cached for the
+    process.  A d < 1 raises the walk's ValueError."""
     if k not in (1, 2, 3):
         raise UnsupportedError("certification supports k <= 3 only")
     examined = 0

@@ -128,19 +128,12 @@ def oracle_enumerate_multiplicities(n, k, d):
     lower, upper = search.multiplicity_bounds(n, k, d)
     if upper < lower or upper * length < n or lower * length > n:
         return None, 0
-    ranks = {}  # packed Gram -> rank
-
-    def hull_one(gram):
-        if gram not in ranks:
-            ranks[gram] = geo.gram_rank(gram)
-        return ranks[gram] == k - 1
-
     gram_bits = geo.gram_bits
     last = length - 1
     if last == 0:
         # k = 1: the single column takes all of n, which the checks above
         # put inside [lower, upper], so this one vector is the only leaf
-        hit = n >= d and hull_one(gram_bits[0] if n % 2 else 0)
+        hit = n >= d and geo.gram_rank(gram_bits[0] if n % 2 else 0) == k - 1
         return ((n,) if hit else None), 1
 
     bits = (max(n, d) * (length + 2)).bit_length() + 1
@@ -179,7 +172,8 @@ def oracle_enumerate_multiplicities(n, k, d):
                 rest = remaining - v
                 if (weights + v * step + rest * inc[last] + bias) & high == high:
                     gram_v = gram ^ block if v % 2 else gram
-                    if hull_one(gram_v ^ gram_bits[last] if rest % 2 else gram_v):
+                    gram_v ^= gram_bits[last] if rest % 2 else 0
+                    if geo.gram_rank(gram_v) == k - 1:
                         m[pos], m[last] = v, rest
                         witness = tuple(m)
                         return

@@ -453,6 +453,11 @@ def lengths():
                 sizes[f"{name}.{attr}"] = len(value)
             elif hasattr(value, "cache_info"):
                 sizes[f"{name}.{attr}"] = value.cache_info().currsize
+            elif isinstance(value, type) and value.__module__ == name:
+                # the lru_caches on the methods of the module's own classes
+                for method, member in vars(value).items():
+                    if hasattr(member, "cache_info"):
+                        sizes[f"{name}.{attr}.{method}"] = member.cache_info().currsize
     return sizes
 
 before = lengths()
@@ -469,9 +474,10 @@ print(json.dumps({"statuses": statuses, "changed": {
 
 def test_commands_leave_no_module_state(fixture_file):
     # every result comes from the call that returns it: no command leaves a
-    # module-level memo behind.  Only the per-k constant tables may fill:
-    # the simplex generators (seen in construct and in search, which
-    # imports it) and the walk's projective geometry
+    # module-level memo behind, nor a memo on a class.  Only the per-k
+    # constant tables may fill: the simplex generators (seen in construct
+    # and in search, which imports it) and the walk's projective geometry,
+    # with its lane columns and its Gram ranks
     commands = [
         ["table", "--max-n", "22", "--k", "3", "--exhaustive-max-n", "22"],
         ["search", "16", "3", "--hull", "1", "--target-d", "12"],
@@ -484,8 +490,11 @@ def test_commands_leave_no_module_state(fixture_file):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     constant = {"hullforge.construct.simplex_matrix",
-                "hullforge.search.simplex_matrix", "hullforge.search._geometry"}
+                "hullforge.search.simplex_matrix", "hullforge.search._geometry",
+                "hullforge.search._ProjectiveGeometry.columns",
+                "hullforge.search._ProjectiveGeometry.gram_rank"}
     assert "hullforge.search._geometry" in report["changed"]
+    assert "hullforge.search._ProjectiveGeometry.gram_rank" in report["changed"]
     assert {key: sizes for key, sizes in report["changed"].items()
             if key not in constant} == {}
     assert report["statuses"] == [0] * len(commands)

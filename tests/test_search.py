@@ -317,9 +317,12 @@ def test_restarted_walks_match_recursive_oracle(monkeypatch):
 def test_column_store_is_freed():
     # an exhaustive column shares one store across its walks, and each walk
     # of a certificate makes its own; none may outlive the call, not even
-    # when the cyclic collector never runs.  The 16-bit lane columns are
-    # cached for the process, so they are filled first
-    search._geometry(3).columns(16)
+    # when the cyclic collector never runs.  The 16-bit lane columns and the
+    # Gram ranks are cached for the process, so they are filled first
+    geo = search._geometry(3)
+    geo.columns(16)
+    for gram in _gram_span(geo):
+        geo.gram_rank(gram)
     enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
@@ -370,6 +373,29 @@ def test_column_drops_only_tables_it_never_reads(monkeypatch, n, k):
     assert dropped and not rebuilt
 
 
+@pytest.mark.parametrize("n, k", [(60, 2), (25, 3)])
+def test_column_store_holds_only_bound_keys(monkeypatch, n, k):
+    # the store holds memos of a walk's bounds alone: value orders under
+    # (k, lower, upper) and tables under (k, lower, upper, bits, span);
+    # the Gram ranks, a constant of k, are the geometry's
+    keys = set()
+    walk = search._enumerate_multiplicities
+
+    def walking(n, k, d, store=None):
+        try:
+            return walk(n, k, d, store)
+        finally:
+            keys.update(store)
+
+    monkeypatch.setattr(search, "_enumerate_multiplicities", walking)
+    exhaustive_dh(n, k)
+    assert keys
+    for key in keys:
+        assert len(key) in (3, 5) and key[0] == k, key
+        assert all(type(part) is int for part in key), key
+        assert len(key) == 3 or key[3] in search._LANE_CODES, key
+
+
 def test_walk_rejects_lengths_past_64_bit_lanes():
     # the weight lanes are numpy integers of at most 64 bits
     with pytest.raises(UnsupportedError, match="64-bit"):
@@ -414,6 +440,34 @@ def test_geometry_facts_of_the_shift_argument(k, meets):
 
 def _xor(blocks):
     return reduce(xor, blocks, 0)
+
+
+def _gram_span(geo):
+    """Every XOR of the geometry's Gram blocks: the packed Grams a walk can
+    reach."""
+    span = {0}
+    for block in geo.gram_bits:
+        span |= {gram ^ block for gram in span}
+    return span
+
+
+@pytest.mark.parametrize("k, hull_one", [(1, 1), (2, 5), (3, 210)])
+def test_gram_blocks_span_every_hermitian_gram(k, hull_one):
+    # the XOR span of the blocks is every Hermitian k x k Gram, 2^(k^2) of
+    # them, so a process-wide rank cache holds at most 2 + 16 + 512 ranks
+    geo = search._geometry(k)
+    span = _gram_span(geo)
+    assert len(span) == 2 ** (k * k)
+    assert sum(geo.gram_rank(gram) == k - 1 for gram in span) == hull_one
+
+
+def test_gram_rank_cache_is_bounded():
+    # the walks rank only Grams of the span: however many walks run, the
+    # process-wide cache stays within every Hermitian Gram of k = 1, 2, 3
+    exhaustive_dh(25, 3)
+    certify_nonexistence(16, 3, 12)
+    exhaustive_dh(60, 2)
+    assert 0 < search._ProjectiveGeometry.gram_rank.cache_info().currsize <= 2 + 16 + 512
 
 
 @pytest.mark.parametrize("k", [2, 3])
