@@ -1,13 +1,13 @@
 """Generate the stored witness corpus: one hull-1 generator matrix per cell
-of the n <= 12 distance table, saved as src/hullforge/data/witnesses/W_[n,k,d].g4m.
+of the n <= 12 distance table, saved as src/hullforge/data/witnesses/W_[n,k].g4m.
 
-Idempotent: existing verified files are kept.  Cells are filled by explicit
-constructions where available, by exhaustive search for k <= 3, by duals and
-zero-column padding of already-stored cells, and by the library's seeded
-`random_search` for the remaining middle dimensions.  Cells still missing
-after two such passes go to simulated annealing, scored on the search's
-packed kernels.  Every seed is fixed, so a run into an empty directory
-reproduces the stored corpus byte for byte:
+Idempotent: existing verified files are kept.  One pass in (n, k) order
+fills cells by explicit constructions where available, by exhaustive search
+for k <= 3, by duals and zero-column padding of already-stored cells, and by
+the library's seeded `random_search` for the remaining middle dimensions.
+Cells still missing after it go to simulated annealing, scored on the
+search's packed kernels.  Every seed is fixed, so a run into an empty
+directory reproduces the stored corpus byte for byte:
 
     python scripts/make_witnesses.py
 """
@@ -36,9 +36,12 @@ def k1_witness(n):
     return LinearCode.from_generator(g)
 
 
+def cell_path(n, k):
+    return OUT / f"W_[{n},{k}].g4m"
+
+
 def load_stored(n, k):
-    d = table5_lookup(n, k)
-    path = OUT / f"W_[{n},{k},{d}].g4m"
+    path = cell_path(n, k)
     if path.exists():
         return LinearCode.from_generator(matfmt.parse(path.read_text()))
     return None
@@ -121,14 +124,14 @@ def anneal(n, k, d, seed):
 
 def missing_cells():
     return [(n, k, d) for n, k, d in sorted(table5_cells())
-            if not (OUT / f"W_[{n},{k},{d}].g4m").exists()]
+            if not cell_path(n, k).exists()]
 
 
 def store(code, n, k, d, t0):
     """Save code as the witness of cell (n, k, d) if it verifies."""
     if not verify(code, n, k):
         return False
-    path = OUT / f"W_[{n},{k},{d}].g4m"
+    path = cell_path(n, k)
     matfmt.save(path, code.generator, comment=f"hull-1 witness for [{n},{k},{d}]")
     print(f"stored {path.name}  ({time.time() - t0:.1f}s)", flush=True)
     return True
@@ -136,11 +139,9 @@ def store(code, n, k, d, t0):
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    # two passes so padding/dual reuse can pick up freshly stored cells
-    for _ in range(2):
-        for n, k, d in missing_cells():
-            t0 = time.time()
-            store(attempt(n, k), n, k, d, t0)
+    for n, k, d in missing_cells():
+        t0 = time.time()
+        store(attempt(n, k), n, k, d, t0)
     for n, k, d in missing_cells():
         for i in range(12):
             t0 = time.time()

@@ -88,6 +88,14 @@ def sphere_packing_max_d(n, k):
 
 
 # k -> (period, the residues of n mod period one below the Griesmer bound)
+#
+# k = 2 is a parity count.  An [L, 2] code with no zero column has
+# multiplicities m on the 5 points of PG(1,4), at least two of them nonzero.
+# Each nonzero codeword vanishes on the columns of one point, so the distance
+# is >= d exactly when every m_i <= L - d.  The Gram blocks of the 5 points
+# XOR to 0, one block has rank 1 and two have rank 2, so the code is hull-1
+# exactly when 1 or 4 of the m_i are odd.  Zero columns change neither, and
+# the largest such d over L <= n is this table's value at n.
 _DEFICITS = {
     1: (2, frozenset({1})),
     2: (5, frozenset({0, 3})),
@@ -124,6 +132,10 @@ def dh_closed_form(n, k):
     if k == n - 2:
         return DhValue(2, True)
     if k == n - 3:
+        # on the hull-1 dual [n, 3] side (n >= 7 here): d >= 3 exactly when
+        # the dual's columns are n distinct points of PG(2,4), and one such
+        # set is hull-1 for n <= 19 but none for n >= 20; d >= 4 needs a cap
+        # of n >= 7 points, and a cap in PG(2,4) has at most 6
         return DhValue(3 if n <= 19 else 2, True)
     return None
 

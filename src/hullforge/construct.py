@@ -127,7 +127,8 @@ def even_length_check_matrix(n):
 
 def distance_two_code(n, k):
     """The sparse [n, n-k, 2] hull-1 code used for long lengths: identity
-    block, two all-ones columns, an e_1 column, and zero padding."""
+    block, two all-ones columns, an e_1 column, and zero padding.  At k = 3
+    it is the d = 2 witness of the k = n - 3 column for n >= 20."""
     if k < 3 or n <= k:
         raise ValueError("need k >= 3 and n > k")
     rows = n - k

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +15,13 @@ from hullforge.bounds import (
     table5_cells,
     table5_lookup,
 )
+from hullforge.construct import (
+    MultiplicityVector,
+    code_from_multiplicity,
+    distance_two_code,
+)
 from hullforge.exceptions import OutOfRangeError
+from hullforge.hull import hull_dim
 
 
 def test_griesmer_examples():
@@ -140,6 +149,75 @@ def test_low_dimension_values_are_periodic(k, period, gain):
         v, w = dh_closed_form(n, k), dh_closed_form(n + period, k)
         assert w.d == v.d + gain, n
         assert (w.exact == v.exact) != ((n, k) == (26, 3)), n
+
+
+def _k2_hull_one(length, top):
+    # some m in [0, top]^5 with sum `length` and 1 or 4 odd entries: the odd
+    # entries lie in [1, top_odd], the even ones in [0, top_even], and steps
+    # of 2 reach every sum of the right parity in between
+    if top < 1:
+        return False
+    top_odd, top_even = top - (top % 2 == 0), top - top % 2
+    return any(odd <= length <= odd * top_odd + (5 - odd) * top_even
+               for odd in (1, 4) if odd % 2 == length % 2)
+
+
+def test_k2_parity_lemma_on_codes():
+    # the lemma at `_DEFICITS` on every [L, 2] code with m_i <= 3
+    for m in itertools.product(range(4), repeat=5):
+        if sum(x > 0 for x in m) < 2:
+            continue
+        code = code_from_multiplicity(MultiplicityVector(2, m))
+        odd = sum(x % 2 for x in m)
+        assert (hull_dim(code) == 1) == (odd in (1, 4)), m
+        assert code.min_distance() == sum(m) - max(m), m
+
+
+def test_k2_parity_count_criterion():
+    # the range form of `_k2_hull_one` against all m for short lengths
+    for length in range(1, 16):
+        for top in range(length + 1):
+            want = any(sum(m) == length and sum(x % 2 for x in m) in (1, 4)
+                       for m in itertools.product(range(top + 1), repeat=5))
+            assert _k2_hull_one(length, top) == want, (length, top)
+
+
+def test_k2_column_is_a_parity_count():
+    # integer arithmetic only: the largest d over lengths L <= n with some
+    # hull-1 m of every m_i <= L - d (d >= 1 forces two nonzero m_i)
+    best = 0
+    for n in range(2, 2001):
+        top = next((top for top in range(-(-n // 5), n)
+                    if _k2_hull_one(n, top)), n)
+        best = max(best, n - top)
+        if n >= 3:
+            assert best == dh_closed_form(n, 2).d, n
+
+
+def test_k_n_minus_3_on_the_dual_side():
+    # n distinct points of PG(2,4) as a hull-1 [n, 3] code; its Hermitian
+    # dual is a hull-1 [n, n - 3, 3] code
+    for n in range(13, 20):
+        rng = np.random.default_rng(n)
+        for _ in range(11):
+            m = np.zeros(21, dtype=int)
+            m[rng.choice(21, n, replace=False)] = 1
+            code = code_from_multiplicity(MultiplicityVector(3, tuple(m.tolist())))
+            if hull_dim(code) == 1:
+                break
+        dual = code.hermitian_dual()
+        assert (dual.k, hull_dim(dual), dual.min_distance()) == (n - 3, 1, 3), n
+        assert dh_closed_form(n, n - 3).d == 3, n
+    # n = 20 and 21: none of the 21 + 1 point sets is hull-1, and n >= 22
+    # has none at all, so d <= 2; distance_two_code reaches it
+    for n in (20, 21):
+        for drop in itertools.combinations(range(21), 21 - n):
+            m = tuple(int(i not in drop) for i in range(21))
+            assert hull_dim(code_from_multiplicity(MultiplicityVector(3, m))) != 1
+    for n in range(20, 61):
+        code = distance_two_code(n, 3)
+        assert (code.k, hull_dim(code), code.min_distance()) == (n - 3, 1, 2), n
+        assert dh_closed_form(n, n - 3).d == 2, n
 
 
 def test_high_dimension_values():

@@ -1,5 +1,4 @@
 from importlib import resources
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,37 +87,17 @@ def test_table6_entry_out_of_range():
         table6_entry(12, 11)
 
 
-def _witness_root():
-    return resources.files("hullforge").joinpath("data/witnesses")
-
-
 def test_witness_registry_complete():
-    # one W_[n,k,d].g4m per cell of the n <= 12 table, none extra, and the d
-    # in each name is the table's distance
-    names = {entry.name for entry in _witness_root().iterdir()}
-    assert names == {f"W_[{n},{k},{table5_lookup(n, k)}].g4m"
-                     for n, k, _ in table5_cells()}
+    # one W_[n,k].g4m per cell of the n <= 12 table and none extra
+    root = resources.files("hullforge").joinpath("data/witnesses")
+    names = {entry.name for entry in root.iterdir()}
+    assert names == {f"W_[{n},{k}].g4m" for n, k, _ in table5_cells()}
     assert len(names) == 66
 
 
 def test_witness_out_of_range():
     with pytest.raises(OutOfRangeError):
         witnesses.witness(40, 2)
-
-
-def test_witness_ambiguous_cell(tmp_path, monkeypatch):
-    # a second file for the same (n, k) makes the lookup refuse both
-    root = tmp_path / "data/witnesses"
-    root.mkdir(parents=True)
-    text = _witness_root().joinpath("W_[10,4,5].g4m").read_text(encoding="ascii")
-    (root / "W_[10,4,5].g4m").write_text(text, encoding="ascii")
-    monkeypatch.setattr(witnesses, "resources",
-                        SimpleNamespace(files=lambda package: tmp_path))
-    code = witnesses.witness(10, 4)
-    assert (code.n, code.k) == (10, 4)
-    (root / "W_[10,4,6].g4m").write_text(text, encoding="ascii")
-    with pytest.raises(OutOfRangeError):
-        witnesses.witness(10, 4)
 
 
 def test_table6_cell_of_the_readme_note():
