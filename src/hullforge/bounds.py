@@ -89,6 +89,10 @@ def sphere_packing_max_d(n, k):
 
 # k -> (period, the residues of n mod period one below the Griesmer bound)
 #
+# k = 1 is a parity fact.  An [L, 1] code with no zero column is the one
+# point of PG(0,4) with multiplicity L: its distance is L, and its Gram is
+# the weight mod 2, so it is hull-1 exactly when L is even.
+#
 # k = 2 is a parity count.  An [L, 2] code with no zero column has
 # multiplicities m on the 5 points of PG(1,4), at least two of them nonzero.
 # Each nonzero codeword vanishes on the columns of one point, so the distance

@@ -35,15 +35,21 @@ value.  It never claims exhaustiveness.  Each chunk is handled as a whole:
 - a Python walk over the draws builds every candidate [I | A].  A hull-2
   lift from length n + 1 is tested on the smaller of [I | b] and
   [I | b^T], whose hulls have equal dimension (C and its Hermitian dual
-  share their hull), on packed row planes as in `gf4._eliminate`;
-- the stack of every A gets the hull-1 test (the Gram by popcount parity,
+  share their hull), on packed planes as in `gf4._eliminate`; the Gram
+  of [I | b^T] is built straight from the draw's bytes;
+- one tie rule decides every acceptance: a candidate whose A is not below
+  the best's must beat the best's distance strictly.  So once the best
+  has reached min(Griesmer, sphere-packing) when a chunk starts, the walk
+  keeps only the candidates whose A is below the best's (it still draws
+  them all, as a lift's outcome fixes where the next draw starts);
+- the stack of kept A gets the hull-1 test (the Gram by popcount parity,
   then GF(4) elimination of all candidates at once) and the screen of
   light rows and row sums y + c x, in numpy;
 - in chunk order, a hull-1 candidate gets its weights from the shared
-  `code._plane_weights`, unless a row or a row sum is lighter than the
-  running best, or the best has reached min(Griesmer, sphere-packing) and
-  the candidate's generator bytes are not below the best's, so that it
-  could only tie.
+  `code._plane_weights` only if it can still win by the tie rule: its
+  light weight, the least weight of a row or a row sum, which bounds its
+  distance from above, must reach what it needs, and what it needs must
+  not exceed the ceiling.
 No candidate builds a `LinearCode`.  The accepted witness is then
 re-verified on the independent numpy path (`hull.hull_dim` over
 `gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
@@ -671,14 +677,28 @@ def _lift_pivot(raw, m):
     [I | b] and [I | b^T] have hulls of equal dimension: C and its Hermitian
     dual [conj(b)^T | I] share their hull, and conjugation keeps the rank
     of the Gram.  So when b has fewer columns than rows the hull test runs
-    on the smaller Gram of [I | b^T], and the row-side Gram, which names p,
-    is built only for a lift that passes.
+    on the smaller Gram of [I | b^T], I + b^T conj(b), and the row-side
+    Gram, which names p, is built only for a lift that passes.  That Gram
+    is built straight from the bytes: column c of b is every m-th byte of
+    raw from c on, whose planes give the Gram of the columns, and the I
+    block adds 1 on its diagonal.
     """
     k1 = len(raw) // m
     if m < k1:
-        # the rows of b^T are the columns of b, every m-th byte
-        columns = b"".join(raw[c::m] for c in range(m))
-        if _planes_hull_dim(*_symbol_planes(columns, m, k1)) != 2:
+        lo, hi = [], []
+        for c in range(m):
+            # the planes of column c, 8 symbols at a time
+            w = int.from_bytes(raw[c::m], "little")
+            x = y = 0
+            for s in range(0, k1, 8):
+                x |= ((w >> 8 * s & _LOW_BITS) * _GATHER >> 56 & 255) << s
+                y |= ((w >> 8 * s + 1 & _LOW_BITS) * _GATHER >> 56 & 255) << s
+            lo.append(x)
+            hi.append(y)
+        glo, ghi = gf4._hermitian_gram_planes(lo, hi)
+        for c in range(m):
+            glo[c] ^= 1 << c
+        if m - len(gf4._eliminate(glo, ghi)) != 2:
             return None
     glo, ghi = gf4._hermitian_gram_planes(*_symbol_planes(raw, k1, m))
     if len(glo) - len(gf4._eliminate(glo, ghi)) != 2:
@@ -756,35 +776,40 @@ def _chunk_words(k, m, size):
     return -(-size // 3) * fresh + (size + 1) // 3 * 3 + size // 3 * (lift + fresh)
 
 
-def _chunk_candidates(bit_generator, k, m, size):
-    """The A of each of the `size` candidates [I | A] of one chunk, drawn
-    from the chunk's bit generator, as a (size, k, m) uint8 array.
+def _chunk_candidates(bit_generator, k, m, size, below=None):
+    """The A of the `size` candidates [I | A] of one chunk, drawn from the
+    chunk's bit generator, as an (S, k, m) uint8 array in chunk order: all
+    of them, or with `below` only those whose bytes are below it.
     Candidate j is a fresh A when j % 3 == 0; at 1 the fresh A just before
     it with one entry set, whose value is drawn first, then its row and its
     column; at 2 the lift [I | b] with k + 1 rows shortened on its first
     hull pivot p, which is b without row p, or a fresh A when the lift's
-    hull is not 2-dimensional."""
+    hull is not 2-dimensional.  Every candidate is drawn, kept or not: a
+    lift's outcome decides where the draws after it start."""
     draws = _Draws(bit_generator, _chunk_words(k, m, size))
     step = k * m
     out = bytearray(size * step)
+    at = 0  # each candidate is written at `at`, which moves on if it is kept
     for j in range(size):
-        at = j * step
         mode = j % 3
         if mode == 1:
             value = draws.bounded(4)
             row = draws.bounded(k)
             out[at: at + step] = fresh
             out[at + row * m + draws.bounded(m)] = value
-            continue
-        if mode == 2:
-            b = draws.symbols(step + m)
-            p = _lift_pivot(b, m)
-            if p is not None:
+        else:
+            p = None
+            if mode == 2:
+                b = draws.symbols(step + m)
+                p = _lift_pivot(b, m)
+            if p is None:
+                fresh = draws.symbols(step)
+                out[at: at + step] = fresh
+            else:
                 out[at: at + step] = b[: p * m] + b[(p + 1) * m:]
-                continue
-        fresh = draws.symbols(step)
-        out[at: at + step] = fresh
-    return np.frombuffer(out, dtype=np.uint8).reshape(size, k, m)
+        if below is None or out[at: at + step] < below:
+            at += step
+    return np.frombuffer(out, dtype=np.uint8, count=at).reshape(-1, k, m)
 
 
 def _stack_planes(stack):
@@ -882,15 +907,22 @@ def _screen(stack, bound):
     """The candidates of a chunk's (S, k, m) stack that are hull-1 and whose
     light weight (`_stack_light`) reaches bound, in chunk order: their A
     bytes joined, and their light weights.  The kernels run on slices of
-    at most _SLICE candidates and _SLICE_BYTES, and nothing of the stack
-    outlives the call."""
+    the same number of candidates, at most _SLICE and _SLICE_BYTES, and
+    nothing of the stack outlives the call.  A short last slice is filled
+    up with zero A, which is never hull-1 (its Gram is I): numpy keeps
+    buffers of every shape its kernels have run on, so a slice of a new
+    size would leave some behind (about 16 KB of peak memory each)."""
     size, k, m = stack.shape
     step = max(1, min(_SLICE, _SLICE_BYTES // (k * k * -(-m // 8))))
     kept, light = bytearray(), []
     for s in range(0, size, step):
-        lo, hi = _stack_planes(stack[s: s + step])
+        part = stack[s: s + step]
+        if len(part) < step:
+            part = np.zeros((step, k, m), dtype=np.uint8)
+            part[: size - s] = stack[s:]
+        lo, hi = _stack_planes(part)
         dims = _stack_hull_dims(lo, hi).tolist()
-        for j, weight in enumerate(_stack_light(lo, hi)):
+        for j, weight in enumerate(_stack_light(lo, hi)[: size - s]):
             if dims[j] == 1 and weight >= bound:
                 kept += stack[s + j].tobytes()
                 light.append(weight)
@@ -906,20 +938,23 @@ def random_search(n, k, target_d, seed, budget):
     in turn.  Every _RANDOM_CHUNK candidates it starts a new RNG stream,
     seeded with (seed, chunk index), so the same (seed, budget) always
     gives the same outcome.  The largest distance wins, ties going to the
-    lexicographically least generator.
+    lexicographically least generator.  Every generator shares the I
+    block, so comparing the bytes of A compares the generators, and the
+    rule reads: a candidate whose A is not below the best's must beat the
+    best strictly.
 
     A chunk is handled in three steps.  `_chunk_candidates` walks the
     draws, decoded by `_Draws` from one raw buffer, and runs each lift's
-    hull-2 test (`_lift_pivot`, on the smaller Gram).  The stack of every
-    candidate's A then gets the hull-1 test and the light-codeword screen
-    in numpy, a slice of candidates at a time (`_stack_hull_dims`,
-    `_stack_light`).  Last, in chunk order, a hull-1 candidate whose light
-    weight reaches the running best gets its weights (`_plane_weights`),
-    unless the best has reached min(Griesmer, sphere-packing), the largest
-    distance any [n, k] code can have, and its bytes are not below the
-    best's: then it could only tie.  Every generator shares the I block, so
-    comparing the bytes of A compares the generators.  No screen changes a
-    draw or the outcome.
+    hull-2 test (`_lift_pivot`, on the smaller Gram).  When the chunk
+    starts with the best at min(Griesmer, sphere-packing), the largest
+    distance any [n, k] code can have, no candidate can beat it strictly,
+    and since the best's A only falls, the walk keeps only the candidates
+    whose A is below the best's at the start.  The stack of kept A then
+    gets the hull-1 test and the light-codeword screen in numpy, a slice
+    of candidates at a time (`_stack_hull_dims`, `_stack_light`).  Last, in
+    chunk order, a hull-1 candidate gets its weights (`_plane_weights`)
+    when its light weight reaches what the rule needs, and that need is
+    within the ceiling.  No screen changes a draw or the outcome.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -937,22 +972,25 @@ def random_search(n, k, target_d, seed, budget):
     for start in range(0, budget, _RANDOM_CHUNK):
         size = min(_RANDOM_CHUNK, budget - start)
         rng = np.random.default_rng([seed, start // _RANDOM_CHUNK])
-        # the chunk is freed before its weights are enumerated
-        stack = _chunk_candidates(rng.bit_generator, k, m, size)
+        # at the ceiling only an A below the best can still win, and the
+        # best only falls, so the walk keeps only those; the chunk is freed
+        # before its weights are enumerated
+        stack = _chunk_candidates(rng.bit_generator, k, m, size,
+                                  best if best_d >= ceiling else None)
         kept, light = _screen(stack, best_d)
         del stack
         for i, weight in enumerate(light):
-            if weight < best_d:
-                # a codeword with at most two nonzero message symbols is
-                # lighter than the best
-                continue
             a = bytes(kept[i * k * m: (i + 1) * k * m])
-            if best_d >= ceiling and a >= best:
-                # no candidate can beat the best, only tie with it
+            # the one tie rule: a candidate whose A is not below the best's
+            # must beat the best strictly
+            need = best_d + 1 if best is not None and a >= best else best_d
+            # the light weight bounds d from above: a codeword with at most
+            # two nonzero message symbols is lighter than it needs
+            if weight < need or need > ceiling:
                 continue
             counts = _plane_weights(*_symbol_planes(a, k, m), n)
             d = int(np.flatnonzero(counts[1:])[0]) + 1
-            if d > best_d or d == best_d and a < best:
+            if d >= need:
                 best_d, best = d, a
     if best is None:
         return SearchOutcome(0, None, exhaustive=False, explored=budget)

@@ -15,6 +15,7 @@ from hullforge.bounds import (
     table5_cells,
     table5_lookup,
 )
+from hullforge.code import LinearCode
 from hullforge.construct import (
     MultiplicityVector,
     code_from_multiplicity,
@@ -149,6 +150,31 @@ def test_low_dimension_values_are_periodic(k, period, gain):
         v, w = dh_closed_form(n, k), dh_closed_form(n + period, k)
         assert w.d == v.d + gain, n
         assert (w.exact == v.exact) != ((n, k) == (26, 3)), n
+
+
+def test_k1_parity_lemma_on_codes():
+    # the k = 1 lemma at `_DEFICITS` on every nonzero row of length <= 6:
+    # its Gram is its weight mod 2, so the [n, 1] code is hull-1 exactly
+    # when the weight is even, and its distance is the weight
+    for n in range(1, 7):
+        for row in itertools.product(range(4), repeat=n):
+            if not any(row):
+                continue
+            code = LinearCode.from_generator([row])
+            weight = sum(x > 0 for x in row)
+            assert (hull_dim(code) == 1) == (weight % 2 == 0), row
+            assert code.min_distance() == weight, row
+
+
+def test_k1_column_is_a_parity_count():
+    # integer arithmetic only: an [L, 1] code with no zero column has
+    # distance L and is hull-1 exactly when L is even, so the largest d
+    # over lengths L <= n is the largest even L
+    best = 0
+    for n in range(2, 2001):
+        if n % 2 == 0:
+            best = max(best, n)
+        assert best == dh_closed_form(n, 1).d == n - n % 2, n
 
 
 def _k2_hull_one(length, top):

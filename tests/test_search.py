@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     exhaustive_column,
     oracle_enumerate_multiplicities,
+    oracle_hull_lift,
     oracle_random_search,
     oracle_row_planes,
     run_optimised,
@@ -772,6 +773,25 @@ def test_packed_candidates_match_numpy(rng):
     assert branches == {False, True}
 
 
+def test_lift_test_matches_oracle_hull_lift(rng):
+    # the lift test, on the Gram of the columns of b built straight from
+    # its bytes when b has fewer columns than rows, against the row-side
+    # oracle: k + 1 = 2..15 rows, so a column spans one or two 8-byte
+    # words, and 1..12 columns, with passing lifts on both sides
+    passes = Counter()
+    for k1 in range(2, 16):
+        for m in range(1, 13):
+            for t in range(12):
+                b = rng.integers(0, 4, size=(k1, m), dtype=np.uint8)
+                b[rng.random(b.shape) < rng.random() / 2] = 0
+                p = search._lift_pivot(b.tobytes(), m)
+                got = (None if p is None else
+                       search._systematic_planes(np.delete(b, p, axis=0)))
+                assert got == oracle_hull_lift(b), (k1, m, t)
+                passes[m < k1, k1 > 8] += p is not None
+    assert min(passes.values()) >= 5 and len(passes) == 4, passes
+
+
 def test_hull_dim_of_transposed_systematic_matrix(rng):
     # [I | A] and [I | A^T] have hulls of equal dimension, which the hull-2
     # lift uses to test the smaller Gram
@@ -918,13 +938,43 @@ def test_chunk_walk_extends_a_short_buffer(monkeypatch):
         assert calls["random_raw"] > 100, (n, k)
 
 
+def test_chunk_walk_keeps_only_candidates_below(monkeypatch):
+    # with `below`, the walk keeps exactly the rows of the unfiltered stack
+    # whose bytes are below it, in chunk order: every candidate is still
+    # drawn, lifts included.  m on both sides of k + 1, and chunks in which
+    # lifts pass
+    passed = Counter()
+    lift_pivot = search._lift_pivot
+
+    def counted(raw, m):
+        p = lift_pivot(raw, m)
+        passed[m < len(raw) // m] += p is not None
+        return p
+    monkeypatch.setattr(search, "_lift_pivot", counted)
+    for k in (1, 4, 5, 6, 8):
+        for m in (1, 3, k, k + 2):
+            full = search._chunk_candidates(
+                np.random.default_rng([k, m]).bit_generator, k, m, 600)
+            rows = [a.tobytes() for a in full]
+            ordered = sorted(rows)
+            for below in (ordered[0], ordered[len(rows) // 9], ordered[-1],
+                          rows[-1], b"\x04"):
+                short = search._chunk_candidates(
+                    np.random.default_rng([k, m]).bit_generator, k, m, 600, below)
+                want = full[[row < below for row in rows]]
+                assert short.shape == want.shape and np.array_equal(short, want), (k, m)
+    assert passed[True] > 20 and passed[False] > 20
+
+
 # (n, k, seed, budget): k = 1..8 and n - k = 1..10 at equal parity, so lifts
 # run with n - k both below and above k + 1; then chunk-crossing budgets on
-# two sizes whose search reaches the distance ceiling and one whose does not
+# three sizes whose search reaches the distance ceiling and one whose does
+# not.  (9, 4) reaches it only in its second chunk, from d = 4, so a walk
+# that kept only candidates below the best before the ceiling would miss it
 ORACLE_RUNS = [
     (k + m, k, 100 * k + m, 150)
     for k in range(1, 9) for m in range(1, 11) if (k + m) % 2 == 0
-] + [(8, 4, 5, 1100), (9, 5, 6, 2100), (12, 6, 7, 1100)]
+] + [(8, 4, 5, 1100), (9, 5, 6, 2100), (9, 4, 3, 2500), (12, 6, 7, 1100)]
 
 
 def test_random_search_matches_oracle_loop():
@@ -938,16 +988,21 @@ def test_random_search_matches_oracle_loop():
         reached[n, k] = o.best_d == ceiling
     assert len(ORACLE_RUNS) >= 40
     assert {n - k < k + 1 for n, k, _, _ in ORACLE_RUNS} == {False, True}
-    # of the long runs, two reach the ceiling, after which candidates only tie
-    assert [reached[n, k] for n, k, _, _ in ORACLE_RUNS[-3:]] == [True, True, False]
+    # of the long runs, three reach the ceiling, after which the walk keeps
+    # only the candidates below the best
+    assert [reached[n, k] for n, k, _, _ in ORACLE_RUNS[-4:]] == [True, True, True, False]
 
 
 def test_random_search_rejection_counts(monkeypatch):
     # the screens leave few candidates to the weights; the hull-1 test and
     # the light screen run once per slice of 256, and a Gram is built in
     # Python only for a lift: 682 tests on the smaller side, 43 on the row
-    # side.  Before the screens this search made 1,156 Grams and 182
-    # enumerations
+    # side.  Chunk 2 starts at the ceiling, so its walk keeps only the 409
+    # candidates below the best, two slices instead of four; and a
+    # candidate not below the best gets no weights unless its light weight
+    # could beat the best strictly.  Before the screens this search made
+    # 1,156 Grams and 182 enumerations; before the walk's filter and the
+    # one tie rule, 8 slices and 34 enumerations
     calls = Counter()
 
     def count(owner, name):
@@ -963,8 +1018,8 @@ def test_random_search_rejection_counts(monkeypatch):
     count(search, "_stack_light")
     count(gf4, "_hermitian_gram_planes")
     random_search(9, 5, 4, seed=3, budget=2048)
-    assert calls == {"_plane_weights": 34, "_stack_hull_dims": 8,
-                     "_stack_light": 8, "_hermitian_gram_planes": 725}
+    assert calls == {"_plane_weights": 13, "_stack_hull_dims": 6,
+                     "_stack_light": 6, "_hermitian_gram_planes": 725}
 
 
 def test_random_search_slices_keep_the_outcome(monkeypatch):
@@ -974,6 +1029,26 @@ def test_random_search_slices_keep_the_outcome(monkeypatch):
     want = [random_search(n, k, 1, seed=s, budget=b) for n, k, s, b in runs]
     monkeypatch.setattr(search, "_SLICE_BYTES", 1)
     assert [random_search(n, k, 1, seed=s, budget=b) for n, k, s, b in runs] == want
+
+
+def test_screen_runs_every_slice_at_one_size(monkeypatch, rng):
+    # a short last slice is filled up with zero A, which is never hull-1,
+    # so every kernel call has the slice's shape, and the screen keeps what
+    # slices of one candidate each keep
+    stack = rng.integers(0, 4, size=(300, 5, 4), dtype=np.uint8)
+    stack[rng.random(stack.shape) < 0.3] = 0
+    shapes = set()
+    hull_dims = search._stack_hull_dims
+
+    def recorded(lo, hi):
+        shapes.add(lo.shape)
+        return hull_dims(lo, hi)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_stack_hull_dims", recorded)
+        got = search._screen(stack, 3)
+    assert shapes == {(256, 5, 1)}
+    monkeypatch.setattr(search, "_SLICE_BYTES", 1)
+    assert got == search._screen(stack, 3) and len(got[1]) > 20
 
 
 def test_random_search_without_hull_one_candidate():
