@@ -35,8 +35,15 @@ value.  It never claims exhaustiveness.  Each chunk is handled as a whole:
 - a Python walk over the draws builds every candidate [I | A].  A hull-2
   lift from length n + 1 is tested on the smaller of [I | b] and
   [I | b^T], whose hulls have equal dimension (C and its Hermitian dual
-  share their hull), on packed planes as in `gf4._eliminate`; the Gram
-  of [I | b^T] is built straight from the draw's bytes;
+  share their hull).  When that side s is at most 4 the test is one
+  lookup (`_lift_table`): the Gram is I XOR one rank-one block per vector
+  along the longer side, a block depends only on the vector's projective
+  point, so rank s - 2 <= 2 is 0, one point block or the XOR of two
+  distinct ones, and the Gram packed in s^2 bits (the 1-plane's upper
+  triangle with the diagonal, then the w-plane's strict upper triangle)
+  indexes a bitmap of that set.  For s >= 5 the test runs on packed
+  planes as in `gf4._eliminate`, the Gram of [I | b^T] built straight
+  from the draw's bytes;
 - one tie rule decides every acceptance: a candidate whose A is not below
   the best's must beat the best's distance strictly.  So once the best
   has reached min(Griesmer, sphere-packing) when a chunk starts, the walk
@@ -63,6 +70,7 @@ its d.
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import combinations, product
 from operator import and_, getitem
 
 import numpy as np
@@ -668,6 +676,37 @@ def _planes_hull_dim(lo, hi):
     return len(lo) - len(gf4._eliminate(*gf4._hermitian_gram_planes(lo, hi)))
 
 
+@lru_cache(maxsize=None)
+def _lift_table(s):
+    """The constants of the lift test on an s x s Gram, 2 <= s <= 4 (see
+    `_lift_pivot`): the packed block of the bytes of each s-symbol vector,
+    the packed identity, and the bitmap of the packed Grams of rank s - 2,
+    bit g % 8 of byte g // 8.  Constants of s, cached for the process, and
+    built with no numpy call: a kernel at a new shape leaves buffers
+    behind."""
+
+    def pack(glo, ghi):
+        # the upper triangle of the 1-plane with its diagonal, row after
+        # row, then the strict upper triangle of the w-plane
+        g = t = 0
+        for plane, first in ((glo, 0), (ghi, 1)):
+            for i in range(s):
+                g |= plane[i] >> i + first << t
+                t += s - i - first
+        return g
+
+    blocks = {}
+    for v in product(range(4), repeat=s):
+        blocks[bytes(v)] = pack(*gf4._hermitian_gram_planes(
+            [x & 1 for x in v], [x >> 1 for x in v]))
+    # the blocks of nonzero vectors: one per projective point
+    points = set(blocks.values()) - {0}
+    ranked = bytearray(1 << s * s >> 3)
+    for g in ({0}, points, (a ^ b for a, b in combinations(points, 2)))[s - 2]:
+        ranked[g >> 3] |= 1 << (g & 7)
+    return blocks, pack([1 << i for i in range(s)], [0] * s), bytes(ranked)
+
+
 def _lift_pivot(raw, m):
     """The first hull pivot p of [I | b] when its hull has dimension 2, None
     otherwise, for the matrix b of m columns whose symbols, row after row,
@@ -676,23 +715,54 @@ def _lift_pivot(raw, m):
 
     [I | b] and [I | b^T] have hulls of equal dimension: C and its Hermitian
     dual [conj(b)^T | I] share their hull, and conjugation keeps the rank
-    of the Gram.  So when b has fewer columns than rows the hull test runs
-    on the smaller Gram of [I | b^T], I + b^T conj(b), and the row-side
-    Gram, which names p, is built only for a lift that passes.  That Gram
-    is built straight from the bytes: column c of b is every m-th byte of
-    raw from c on, whose planes give the Gram of the columns, and the I
+    of the Gram.  So the hull test runs on the smaller Gram, of side
+    s = min(m, k + 1): I + b^T conj(b) of the columns when b has fewer
+    columns than rows, else I + b conj(b)^T of the rows.  The row-side
+    Gram, which names p, is built only for a lift that passes.
+
+    For s <= 4 the test is one table lookup (`_lift_table`).  The Gram is
+    I plus one rank-one block v^T conj(v) per vector v along the longer
+    side: the rows raw[t*m:(t+1)*m] of b on the column side, its columns
+    raw[c::m] on the row side.  Packed in s^2 bits, the upper triangle of
+    the 1-plane with its diagonal, then the strict upper triangle of the
+    w-plane, it is eye XOR the packed blocks, looked up by the bytes of v,
+    and one bit of a bitmap of 2^(s^2) bits says whether it has rank
+    s - 2.  Rank s - 2 <= 2 has a small set: every nonzero x in GF(4) has
+    x conj(x) = x^3 = 1, so a block depends only on the projective point
+    of v, and a Hermitian form of rank r is a sum of r blocks of
+    independent vectors; two distinct points are independent.  So rank 0
+    is the zero Gram, rank 1 the (4^s - 1) / 3 point blocks, and rank 2
+    the XOR of two distinct point blocks.  A 1 x 1 Gram has nullity at
+    most 1, so s = 1 never has hull 2.
+
+    For s >= 5 the Gram is ranked by `gf4._eliminate`.  On the column side
+    it is built straight from the bytes: column c of b is every m-th byte
+    of raw from c on, whose planes give the Gram of the columns, and the I
     block adds 1 on its diagonal.
     """
     k1 = len(raw) // m
-    if m < k1:
+    s = min(m, k1)
+    if s == 1:
+        return None
+    if s <= 4:
+        blocks, gram, ranked = _lift_table(s)
+        if m < k1:
+            for t in range(0, len(raw), m):
+                gram ^= blocks[raw[t: t + m]]
+        else:
+            for c in range(m):
+                gram ^= blocks[raw[c::m]]
+        if not ranked[gram >> 3] >> (gram & 7) & 1:
+            return None
+    elif m < k1:
         lo, hi = [], []
         for c in range(m):
             # the planes of column c, 8 symbols at a time
             w = int.from_bytes(raw[c::m], "little")
             x = y = 0
-            for s in range(0, k1, 8):
-                x |= ((w >> 8 * s & _LOW_BITS) * _GATHER >> 56 & 255) << s
-                y |= ((w >> 8 * s + 1 & _LOW_BITS) * _GATHER >> 56 & 255) << s
+            for t in range(0, k1, 8):
+                x |= ((w >> 8 * t & _LOW_BITS) * _GATHER >> 56 & 255) << t
+                y |= ((w >> 8 * t + 1 & _LOW_BITS) * _GATHER >> 56 & 255) << t
             lo.append(x)
             hi.append(y)
         glo, ghi = gf4._hermitian_gram_planes(lo, hi)
@@ -945,13 +1015,14 @@ def random_search(n, k, target_d, seed, budget):
 
     A chunk is handled in three steps.  `_chunk_candidates` walks the
     draws, decoded by `_Draws` from one raw buffer, and runs each lift's
-    hull-2 test (`_lift_pivot`, on the smaller Gram).  When the chunk
-    starts with the best at min(Griesmer, sphere-packing), the largest
-    distance any [n, k] code can have, no candidate can beat it strictly,
-    and since the best's A only falls, the walk keeps only the candidates
-    whose A is below the best's at the start.  The stack of kept A then
-    gets the hull-1 test and the light-codeword screen in numpy, a slice
-    of candidates at a time (`_stack_hull_dims`, `_stack_light`).  Last, in
+    hull-2 test (`_lift_pivot`, on the smaller Gram, by a table lookup when
+    its side is at most 4).  When the chunk starts with the best at
+    min(Griesmer, sphere-packing), the largest distance any [n, k] code can
+    have, no candidate can beat it strictly, and since the best's A only
+    falls, the walk keeps only the candidates whose A is below the best's
+    at the start.  The stack of kept A then gets the hull-1 test and the
+    light-codeword screen in numpy, a slice of candidates at a time
+    (`_stack_hull_dims`, `_stack_light`).  Last, in
     chunk order, a hull-1 candidate gets its weights (`_plane_weights`)
     when its light weight reaches what the rule needs, and that need is
     within the ceiling.  No screen changes a draw or the outcome.

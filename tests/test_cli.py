@@ -477,7 +477,8 @@ def test_commands_leave_no_module_state(fixture_file):
     # module-level memo behind, nor a memo on a class.  Only the per-k
     # constant tables may fill: the simplex generators (seen in construct
     # and in search, which imports it) and the walk's projective geometry,
-    # with its lane columns and its Gram ranks
+    # with its lane columns and its Gram ranks; and the random search's
+    # per-side lift tables, which the (9, 5) search's 4 x 4 lifts fill
     commands = [
         ["table", "--max-n", "22", "--k", "3", "--exhaustive-max-n", "22"],
         ["search", "16", "3", "--hull", "1", "--target-d", "12"],
@@ -492,8 +493,10 @@ def test_commands_leave_no_module_state(fixture_file):
     constant = {"hullforge.construct.simplex_matrix",
                 "hullforge.search.simplex_matrix", "hullforge.search._geometry",
                 "hullforge.search._ProjectiveGeometry.columns",
-                "hullforge.search._ProjectiveGeometry.gram_rank"}
+                "hullforge.search._ProjectiveGeometry.gram_rank",
+                "hullforge.search._lift_table"}
     assert "hullforge.search._geometry" in report["changed"]
+    assert report["changed"]["hullforge.search._lift_table"] == [0, 1]
     assert "hullforge.search._ProjectiveGeometry.gram_rank" in report["changed"]
     assert {key: sizes for key, sizes in report["changed"].items()
             if key not in constant} == {}

@@ -774,13 +774,18 @@ def test_packed_candidates_match_numpy(rng):
 
 
 def test_lift_test_matches_oracle_hull_lift(rng):
-    # the lift test, on the Gram of the columns of b built straight from
-    # its bytes when b has fewer columns than rows, against the row-side
-    # oracle: k + 1 = 2..15 rows, so a column spans one or two 8-byte
-    # words, and 1..12 columns, with passing lifts on both sides
+    # the lift test against the row-side oracle on each of its paths: a
+    # table lookup when the smaller side s = min(m, k + 1) is at most 4, on
+    # the column side when b has fewer columns than rows, else on the row
+    # side; a Python Gram of the columns, built straight from the bytes,
+    # or of the rows, for s >= 5.  k + 1 = 2..15 rows, so a column spans
+    # one or two 8-byte words, and 1..12 columns, with passing lifts on
+    # every path and on two-word columns
     passes = Counter()
     for k1 in range(2, 16):
         for m in range(1, 13):
+            path = ("table" if min(m, k1) <= 4 else "python",
+                    "columns" if m < k1 else "rows")
             for t in range(12):
                 b = rng.integers(0, 4, size=(k1, m), dtype=np.uint8)
                 b[rng.random(b.shape) < rng.random() / 2] = 0
@@ -788,8 +793,66 @@ def test_lift_test_matches_oracle_hull_lift(rng):
                 got = (None if p is None else
                        search._systematic_planes(np.delete(b, p, axis=0)))
                 assert got == oracle_hull_lift(b), (k1, m, t)
-                passes[m < k1, k1 > 8] += p is not None
-    assert min(passes.values()) >= 5 and len(passes) == 4, passes
+                if p is not None:
+                    passes[path] += 1
+                    passes["two words"] += path == ("python", "columns") and k1 > 8
+    assert min(passes.values()) >= 5 and len(passes) == 5, passes
+
+
+def _unpacked_gram(g, s):
+    """The row planes of the Hermitian s x s Gram that `_lift_table` packs
+    into g: the upper triangle of the 1-plane with its diagonal, then the
+    strict upper triangle of the w-plane; entry (j, i) is the conjugate
+    (c0 ^ c1, c1) of entry (i, j)."""
+    upper = [(i, j) for i in range(s) for j in range(i, s)]
+    strict = [(i, j) for i, j in upper if i < j]
+    glo, ghi = [0] * s, [0] * s
+    for t, (i, j) in enumerate(upper):
+        glo[i] |= (g >> t & 1) << j
+    for t, (i, j) in enumerate(strict, len(upper)):
+        c0, c1 = glo[i] >> j & 1, g >> t & 1
+        ghi[i] |= c1 << j
+        glo[j] |= (c0 ^ c1) << i
+        ghi[j] |= c1 << i
+    return glo, ghi
+
+
+@pytest.mark.parametrize("s, count", [(2, 1), (3, 21), (4, 3570)])
+def test_lift_table_is_exact(s, count):
+    # the bitmap against elimination on every packed Hermitian s x s Gram:
+    # rank 0 is the zero Gram, rank 1 the 21 point blocks of PG(2, 4), rank
+    # 2 the XORs of two of the 85 point blocks of PG(3, 4), C(85, 2) of them
+    blocks, eye, ranked = search._lift_table(s)
+    assert len(ranked) == 2 ** (s * s) // 8
+    bits = int.from_bytes(ranked, "little")
+    ones = bits.bit_count()
+    assert ones == count
+    grams = set()
+    for g in range(2 ** (s * s)):
+        glo, ghi = _unpacked_gram(g, s)
+        grams.add((tuple(glo), tuple(ghi)))
+        hit = bits >> g & 1
+        assert hit == (len(gf4._eliminate(glo, ghi)) == s - 2), g
+    # the packing is one to one on the Hermitian Grams
+    assert len(grams) == 2 ** (s * s)
+    # each block is the Gram of its one-column matrix, and eye the identity
+    assert len(blocks) == 4 ** s and blocks[bytes(s)] == 0
+    for v in product(range(4), repeat=s):
+        want = gf4._hermitian_gram_planes([x & 1 for x in v], [x >> 1 for x in v])
+        assert 0 <= blocks[bytes(v)] < 2 ** (s * s)
+        assert _unpacked_gram(blocks[bytes(v)], s) == want, v
+    assert _unpacked_gram(eye, s) == ([1 << i for i in range(s)], [0] * s)
+
+
+def test_lift_table_cache_is_bounded():
+    # lifts of every side s = min(n - k, k + 1) from 1 to 8 fill the per-s
+    # cache with s = 2, 3 and 4 alone, each a bitmap of at most 8 KB
+    search._lift_table.cache_clear()
+    for n, k in ((3, 2), (6, 4), (9, 6), (12, 8), (8, 3), (14, 5), (16, 8),
+                 (6, 1), (10, 2), (20, 3)):
+        random_search(n, k, 1, seed=5, budget=400)
+    assert search._lift_table.cache_info().currsize == 3
+    assert [len(search._lift_table(s)[2]) for s in (2, 3, 4)] == [2, 64, 8192]
 
 
 def test_hull_dim_of_transposed_systematic_matrix(rng):
@@ -996,13 +1059,14 @@ def test_random_search_matches_oracle_loop():
 def test_random_search_rejection_counts(monkeypatch):
     # the screens leave few candidates to the weights; the hull-1 test and
     # the light screen run once per slice of 256, and a Gram is built in
-    # Python only for a lift: 682 tests on the smaller side, 43 on the row
-    # side.  Chunk 2 starts at the ceiling, so its walk keeps only the 409
-    # candidates below the best, two slices instead of four; and a
-    # candidate not below the best gets no weights unless its light weight
-    # could beat the best strictly.  Before the screens this search made
-    # 1,156 Grams and 182 enumerations; before the walk's filter and the
-    # one tie rule, 8 slices and 34 enumerations
+    # Python only for the 43 lifts that pass: the 682 tests on the smaller
+    # side, 4 x 4, are table lookups (725 Grams before them).  Chunk 2
+    # starts at the ceiling, so its walk keeps only the 409 candidates
+    # below the best, two slices instead of four; and a candidate not below
+    # the best gets no weights unless its light weight could beat the best
+    # strictly.  Before the screens this search made 1,156 Grams and 182
+    # enumerations; before the walk's filter and the one tie rule, 8 slices
+    # and 34 enumerations
     calls = Counter()
 
     def count(owner, name):
@@ -1019,7 +1083,7 @@ def test_random_search_rejection_counts(monkeypatch):
     count(gf4, "_hermitian_gram_planes")
     random_search(9, 5, 4, seed=3, budget=2048)
     assert calls == {"_plane_weights": 13, "_stack_hull_dims": 6,
-                     "_stack_light": 6, "_hermitian_gram_planes": 725}
+                     "_stack_light": 6, "_hermitian_gram_planes": 43}
 
 
 def test_random_search_slices_keep_the_outcome(monkeypatch):
