@@ -11,8 +11,8 @@ duration of one call.
 
 `_eliminate` is the one elimination routine.  It works on those int row
 lists alone, so callers that already hold packed rows (the Gram matrices of
-the searches, from `_hermitian_gram_planes` or the DFS tables) rank them
-with no numpy call.
+the random search, from `_hermitian_gram_planes`) rank them with no numpy
+call.
 """
 
 import numpy as np
@@ -109,7 +109,7 @@ def _eliminate(lo, hi):
     `_row_planes`.  Pivot search scans left to right, top to bottom.  Returns
     the pivot columns; the rows past len(pivots) end up zero.  This is the
     one elimination routine: `rref`, `rank` and the packed Gram ranks of
-    the searches all run on it.
+    the random search all run on it.
     """
     nrows = len(lo)
     pivots = []

@@ -23,7 +23,8 @@ its bitsets depend on the multiplicity bounds, the lane width and the
 table's span alone, never on n or d: the walks of one exhaustive column
 share them in one store, which lives as long as the call.  Walks also
 share the geometry's cached constants of k alone (`_geometry`, its lane
-columns and its Gram ranks), which live as long as the process.
+columns and its bitmap of hull-1 Grams from `_gram_table`), which live as
+long as the process.
 
 For k >= 4 only a seeded, deterministic randomized search is offered: one
 pass over the budget, with one running best, that starts a new RNG stream
@@ -36,14 +37,11 @@ value.  It never claims exhaustiveness.  Each chunk is handled as a whole:
   lift from length n + 1 is tested on the smaller of [I | b] and
   [I | b^T], whose hulls have equal dimension (C and its Hermitian dual
   share their hull).  When that side s is at most 4 the test is one
-  lookup (`_lift_table`): the Gram is I XOR one rank-one block per vector
-  along the longer side, a block depends only on the vector's projective
-  point, so rank s - 2 <= 2 is 0, one point block or the XOR of two
-  distinct ones, and the Gram packed in s^2 bits (the 1-plane's upper
-  triangle with the diagonal, then the w-plane's strict upper triangle)
-  indexes a bitmap of that set.  For s >= 5 the test runs on packed
-  planes as in `gf4._eliminate`, the Gram of [I | b^T] built straight
-  from the draw's bytes;
+  lookup: the Gram is I XOR one rank-one block per vector along the
+  longer side, and its packing indexes the bitmap of the Grams of rank
+  s - 2 (`_gram_table`).  For s >= 5 the test runs on packed planes as in
+  `gf4._eliminate`, the Gram of [I | b^T] built straight from the draw's
+  bytes;
 - one tie rule decides every acceptance: a candidate whose A is not below
   the best's must beat the best's distance strictly.  So once the best
   has reached min(Griesmer, sphere-packing) when a chunk starts, the walk
@@ -127,6 +125,48 @@ class CounterexampleFound:
     witness: LinearCode
 
 
+@lru_cache(maxsize=None)
+def _gram_table(s, rank):
+    """The Hermitian s x s Grams, 1 <= s <= 4, packed in s^2 bits, and
+    those of rank `rank` <= 2: the packed block of the bytes of each
+    s-symbol vector, the packed identity, and the bitmap of the rank, bit
+    g % 8 of byte g // 8 for the packed Gram g.  The k <= 3 walk reads
+    (k, k - 1), whose bitmap holds the hull-1 codes, and a hull-2 lift
+    reads (s, s - 2).
+
+    The packing, the upper triangle of the 1-plane with its diagonal, row
+    after row, then the strict upper triangle of the w-plane, is linear and
+    one to one on Hermitian Grams.  Every nonzero x in GF(4) has
+    x conj(x) = x^3 = 1, so the block v^T conj(v) depends only on the
+    projective point of v, and a Hermitian form of rank r is a sum of r
+    blocks of independent vectors; two distinct points are independent.
+    So rank 0 is the zero Gram, rank 1 the (4^s - 1) / 3 point blocks, and
+    rank 2 the XOR of two distinct point blocks.
+
+    Constants of (s, rank), cached for the process, and built with no
+    numpy call: a kernel at a new shape leaves buffers behind."""
+
+    def pack(glo, ghi):
+        g = t = 0
+        for plane, first in ((glo, 0), (ghi, 1)):
+            for i in range(s):
+                g |= plane[i] >> i + first << t
+                t += s - i - first
+        return g
+
+    blocks = {}
+    for v in product(range(4), repeat=s):
+        blocks[bytes(v)] = pack(*gf4._hermitian_gram_planes(
+            [x & 1 for x in v], [x >> 1 for x in v]))
+    # the blocks of nonzero vectors: one per projective point
+    points = set(blocks.values()) - {0}
+    # at s = 1 the Gram packs into one bit, which still takes a byte
+    ranked = bytearray(max(1, 1 << s * s >> 3))
+    for g in ({0}, points, (a ^ b for a, b in combinations(points, 2)))[rank]:
+        ranked[g >> 3] |= 1 << (g & 7)
+    return blocks, pack([1 << i for i in range(s)], [0] * s), bytes(ranked)
+
+
 class _ProjectiveGeometry:
     """Per-dimension tables for fast multiplicity-vector evaluation.
 
@@ -137,31 +177,22 @@ class _ProjectiveGeometry:
 
     The DFS works on Python integers derived from these tables: a weight
     vector is packed into one int of `bits`-bit lanes (`pack`), and a Gram
-    matrix into one int of 2k rows of k bits (`gram_bits`): the lo planes of
-    its rows as `gf4._hermitian_gram_planes` returns them, then the hi
-    planes, which `gram_rank` slices back into the rows of
-    `gf4._eliminate`.  `columns(bits)` packs the incidence and suffix
-    columns once per lane width, and its `struct.Struct` reads a packed
-    weight back as one Python int per lane.
-
-    Both are constants of k alone, like the instance that `_geometry`
-    caches, so each is an `lru_cache` for the process, filled lazily:
-    `columns` holds at most the three lane widths, and `gram_rank` at most
-    the 2^(k^2) Hermitian Grams, the XOR span of `gram_bits` (2, 16 and
-    512 for k = 1, 2, 3).  A walk ranks only the Grams it reaches.
+    matrix as in `_gram_table(k, k - 1)`, which gives the blocks
+    (`gram_bits`) and the bitmap of the hull-1 Grams (`hull_one`).
+    `columns(bits)` packs the incidence and suffix columns once per lane
+    width, and its `struct.Struct` reads a packed weight back as one Python
+    int per lane: an `lru_cache` of at most the three lane widths, since
+    like the instance that `_geometry` caches it is a constant of k alone.
     """
 
     def __init__(self, k):
-        self.k = k
         self.length = simplex_length(k)
         s = simplex_matrix(k)
         # Z[x, i] = 1 iff class-x messages are nonzero on column i
         self.incidence = (gf4.matmul(s.T, s) != 0).astype(np.int64)
-        # rank-one Hermitian Gram blocks h_i conj(h_i)^T as 2k packed rows
-        self.gram_bits = []
-        for i in range(self.length):
-            lo, hi = gf4._hermitian_gram_planes(*gf4._row_planes(s[:, i: i + 1]))
-            self.gram_bits.append(self.pack(lo + hi, k))
+        # the packed rank-one Hermitian Gram block h_i conj(h_i)^T per column
+        blocks, _, self.hull_one = _gram_table(k, k - 1)
+        self.gram_bits = [blocks[s[:, i].tobytes()] for i in range(self.length)]
         # incidence column suffix sums, for distance pruning
         self.suffix = np.zeros((self.length, self.length + 1), dtype=np.int64)
         self.suffix[:, :-1] = np.cumsum(self.incidence[:, ::-1], axis=1)[:, ::-1]
@@ -185,12 +216,6 @@ class _ProjectiveGeometry:
     def pack(values, bits):
         """values[x] in lane x: bits [x * bits, (x + 1) * bits) of one int."""
         return sum(int(v) << (x * bits) for x, v in enumerate(values))
-
-    @lru_cache(maxsize=None)
-    def gram_rank(self, packed):
-        k = self.k
-        rows = [packed >> (r * k) & ((1 << k) - 1) for r in range(2 * k)]
-        return len(gf4._eliminate(rows[:k], rows[k:]))
 
 
 @lru_cache(maxsize=None)
@@ -240,8 +265,9 @@ def _enumerate_multiplicities(n, k, d, store=None):
     every lane sets a lane's top bit exactly when its weight is >= d, so
     "every weight >= d" is one mask test against `high`.  `bits` grows with
     n so that no lane, even with the maxed-out suffix and the bias added,
-    carries into the next, and is rounded up to 16, 32 or 64, so that one
-    `to_bytes` and one `struct` unpack read a packed weight as Python ints.
+    carries into the next, and is rounded up to 16, 32 or 64 (`_lane_bits`),
+    so that one `to_bytes` and one `struct` unpack read a packed weight as
+    Python ints.
 
     Each node the DFS reaches at cut = length - span is settled over the
     table of its remaining sum: every completion (m_cut..m_last), in the
@@ -260,12 +286,13 @@ def _enumerate_multiplicities(n, k, d, store=None):
     reach d: the same per-class comparisons as on the weights themselves,
     only grouped by class.  The vectors examined are the popcount of the
     low half, up to and including the witness, which is the lowest row of
-    the high half, in the DFS's order, whose Gram matrix, ranked only then,
-    has rank k - 1.  A whole sum never exceeds its deepest-prune sum, so
-    every row meets a need at or below the class's least sum and none meets
-    one above its largest: those entries are the shared all-ones int and 0,
-    and the first need between the two builds the class's whole band of
-    ints with one compare and one `packbits`.
+    the high half, in the DFS's order, whose Gram matrix, tested only then
+    by one bit of the geometry's `hull_one`, has rank k - 1.  A whole sum
+    never exceeds its deepest-prune sum, so every row meets a need at or
+    below the class's least sum and none meets one above its largest: those
+    entries are the shared all-ones int and 0, and the first need between
+    the two builds the class's whole band of ints with one compare and one
+    `packbits`.
 
     A table's rows are composed in numpy, not walked: the completions of a
     remaining sum from position p, `completions(p, remaining)`, are one
@@ -291,19 +318,18 @@ def _enumerate_multiplicities(n, k, d, store=None):
 
     The value orders and the tables with their lookups live in `store`, a
     private dict: the orders under (k, lower, upper), the tables under (k,
-    lower, upper, bits, span), so every key holds its walk's bounds.  The
-    Gram ranks depend on k and the Gram alone, and come from the geometry's
-    process-wide `gram_rank` cache instead.  The walks of one exhaustive
-    column share the store; that column is the only caller that passes
-    one.  A value order depends only on (k, lower, upper), its position and
-    the remaining sum, so both spans of a restart share it; a table's rows,
-    its lane sums and its Gram XORs only on (k, lower, upper, span), from
-    which cut follows, and the remaining sum at cut; and a lookup entry only
-    on the sums and the need, never on n or d.  So a table and its lookups
-    serve every walk with the same key, whatever its n and d, and so does
-    offset.  offset is kept small rather than 2^(bits-1), so that in most
-    walks the keys are among the ints Python caches, which a settle neither
-    allocates nor compares by value.
+    lower, upper, bits, span), so every key holds its walk's bounds; the
+    hull-1 bitmap depends on k alone, and is the geometry's.  The walks of
+    one exhaustive column share the store; that column is the only caller
+    that passes one.  A value order depends only on (k, lower, upper), its
+    position and the remaining sum, so both spans of a restart share it; a
+    table's rows, its lane sums and its Gram XORs only on (k, lower, upper,
+    span), from which cut follows, and the remaining sum at cut; and a
+    lookup entry only on the sums and the need, never on n or d.  So a
+    table and its lookups serve every walk with the same key, whatever its
+    n and d, and so does offset.  offset is kept small rather than
+    2^(bits-1), so that in most walks the keys are among the ints Python
+    caches, which a settle neither allocates nor compares by value.
     The sums, and the needs they are compared with, are kept in the lane's
     own width (int16, int32 or int64), which also makes the compare of a
     band a narrow one: a deepest-prune sum is at most 3n, which the lane
@@ -322,18 +348,17 @@ def _enumerate_multiplicities(n, k, d, store=None):
         return None, 0
     if store is None:
         store = {}
-    gram_bits = geo.gram_bits
+    gram_bits, hull_one = geo.gram_bits, geo.hull_one
     last = length - 1
     if last == 0:
         # k = 1: the single column takes all of n, which the checks above
         # put inside [lower, upper], so this one vector is the only leaf
-        hit = n >= d and geo.gram_rank(gram_bits[0] if n % 2 else 0) == k - 1
+        gram = gram_bits[0] if n % 2 else 0
+        hit = n >= d and hull_one[gram >> 3] >> (gram & 7) & 1
         return ((n,) if hit else None), 1
 
-    fit = (max(n, d) * (length + 2)).bit_length() + 1
-    bits = next((b for b in _LANE_CODES if b >= fit), None)
-    if bits is None:
-        raise UnsupportedError(f"n={n} is too large for 64-bit weight lanes")
+    # the checks above leave d <= n: a larger d puts upper below 0
+    bits = _lane_bits(n, length)
     inc, suffix, ones, lanes = geo.columns(bits)
     high = ones << (bits - 1)
     bias = high - d * ones
@@ -452,7 +477,8 @@ def _enumerate_multiplicities(n, k, d, store=None):
             while reached:
                 low = reached & -reached
                 r = low.bit_length() - 1
-                if geo.gram_rank(gram ^ grams[r]) == k - 1:
+                g = gram ^ grams[r]
+                if hull_one[g >> 3] >> (g & 7) & 1:
                     examined += (hits & (2 * low - 1)).bit_count()
                     witness = tuple(m[:cut] + rows[r].tolist())
                     return
@@ -500,6 +526,18 @@ def _enumerate_multiplicities(n, k, d, store=None):
     finally:
         # completions holds itself too, and with it the memo
         completions = None
+
+
+def _lane_bits(n, length):
+    """The width of the weight lanes of a walk at length n over `length`
+    columns, for any d <= n: 16, 32 or 64 bits, so that no lane, even with
+    the maxed-out suffix and the bias added, carries into the next.  A lane
+    of more than 64 bits raises UnsupportedError."""
+    fit = (n * (length + 2)).bit_length() + 1
+    bits = next((b for b in _LANE_CODES if b >= fit), None)
+    if bits is None:
+        raise UnsupportedError(f"n={n} is too large for 64-bit weight lanes")
+    return bits
 
 
 def _table_span(width, length, rows):
@@ -568,11 +606,18 @@ def exhaustive_dh(n, k):
     The re-check of a walk's witness is exact: the walk at d + 1 of the
     same length found none, or d is the Griesmer bound, so a witness of
     distance other than d is a fault of the walk.
+
+    A walk's lane width follows from its length alone (`_lane_bits`), so a
+    column too long for 64-bit lanes at n raises the walk's
+    UnsupportedError before the first walk, not after walking every
+    shorter length; k = 1 has no lanes.
     """
     if k not in (1, 2, 3):
         raise UnsupportedError("exhaustive search supports k <= 3 only")
     if n < k:
         raise ValueError("need n >= k")
+    if k > 1:
+        _lane_bits(n, simplex_length(k))
     store = {}
     outcome = None
     for length in range(k, n + 1):
@@ -611,7 +656,7 @@ def certify_nonexistence(n, k, d):
     The walk at each of the lengths n, n - 1, ... makes its own store: over
     every certificate with k <= 3, n <= 26 and d up to the Griesmer bound,
     none read a table built at another length, so a shared store would
-    share no table, and the Gram ranks are the geometry's, cached for the
+    share no table, and the hull-1 bitmap is the geometry's, cached for the
     process.  A d < 1 raises the walk's ValueError."""
     if k not in (1, 2, 3):
         raise UnsupportedError("certification supports k <= 3 only")
@@ -649,17 +694,24 @@ _POPCOUNT = np.frombuffer(bytes(bin(b).count("1") for b in range(256)),
                           dtype=np.uint8)
 
 
+def _gather(raw):
+    """The 1-bit and the w-bit planes of the symbols held one per byte in
+    the bytes raw, symbol t at bit t, gathered 8 symbols at a time."""
+    lo = hi = 0
+    for t in range(0, len(raw), 8):
+        w = int.from_bytes(raw[t: t + 8], "little")
+        lo |= ((w & _LOW_BITS) * _GATHER >> 56 & 255) << t
+        hi |= ((w >> 1 & _LOW_BITS) * _GATHER >> 56 & 255) << t
+    return lo, hi
+
+
 def _symbol_planes(raw, k, m):
     """Row planes of [I | a] for the k x m symbols a held one per byte, row
     after row, in the bytes raw; as `gf4._row_planes` builds them but with
     no numpy call: at candidate size its packbits costs as much as the hull
     test."""
-    # the planes of all of a, row after row, from 8 symbols at a time
-    lo = hi = 0
-    for s in range(0, len(raw), 8):
-        w = int.from_bytes(raw[s: s + 8], "little")
-        lo |= (((w & _LOW_BITS) * _GATHER >> 56) & 255) << s
-        hi |= ((((w >> 1) & _LOW_BITS) * _GATHER >> 56) & 255) << s
+    # the planes of all of a, row after row
+    lo, hi = _gather(raw)
     mask = (1 << m) - 1
     return (
         [1 << i | (lo >> (i * m) & mask) << k for i in range(k)],
@@ -676,37 +728,6 @@ def _planes_hull_dim(lo, hi):
     return len(lo) - len(gf4._eliminate(*gf4._hermitian_gram_planes(lo, hi)))
 
 
-@lru_cache(maxsize=None)
-def _lift_table(s):
-    """The constants of the lift test on an s x s Gram, 2 <= s <= 4 (see
-    `_lift_pivot`): the packed block of the bytes of each s-symbol vector,
-    the packed identity, and the bitmap of the packed Grams of rank s - 2,
-    bit g % 8 of byte g // 8.  Constants of s, cached for the process, and
-    built with no numpy call: a kernel at a new shape leaves buffers
-    behind."""
-
-    def pack(glo, ghi):
-        # the upper triangle of the 1-plane with its diagonal, row after
-        # row, then the strict upper triangle of the w-plane
-        g = t = 0
-        for plane, first in ((glo, 0), (ghi, 1)):
-            for i in range(s):
-                g |= plane[i] >> i + first << t
-                t += s - i - first
-        return g
-
-    blocks = {}
-    for v in product(range(4), repeat=s):
-        blocks[bytes(v)] = pack(*gf4._hermitian_gram_planes(
-            [x & 1 for x in v], [x >> 1 for x in v]))
-    # the blocks of nonzero vectors: one per projective point
-    points = set(blocks.values()) - {0}
-    ranked = bytearray(1 << s * s >> 3)
-    for g in ({0}, points, (a ^ b for a, b in combinations(points, 2)))[s - 2]:
-        ranked[g >> 3] |= 1 << (g & 7)
-    return blocks, pack([1 << i for i in range(s)], [0] * s), bytes(ranked)
-
-
 def _lift_pivot(raw, m):
     """The first hull pivot p of [I | b] when its hull has dimension 2, None
     otherwise, for the matrix b of m columns whose symbols, row after row,
@@ -720,32 +741,25 @@ def _lift_pivot(raw, m):
     columns than rows, else I + b conj(b)^T of the rows.  The row-side
     Gram, which names p, is built only for a lift that passes.
 
-    For s <= 4 the test is one table lookup (`_lift_table`).  The Gram is
-    I plus one rank-one block v^T conj(v) per vector v along the longer
-    side: the rows raw[t*m:(t+1)*m] of b on the column side, its columns
-    raw[c::m] on the row side.  Packed in s^2 bits, the upper triangle of
-    the 1-plane with its diagonal, then the strict upper triangle of the
-    w-plane, it is eye XOR the packed blocks, looked up by the bytes of v,
-    and one bit of a bitmap of 2^(s^2) bits says whether it has rank
-    s - 2.  Rank s - 2 <= 2 has a small set: every nonzero x in GF(4) has
-    x conj(x) = x^3 = 1, so a block depends only on the projective point
-    of v, and a Hermitian form of rank r is a sum of r blocks of
-    independent vectors; two distinct points are independent.  So rank 0
-    is the zero Gram, rank 1 the (4^s - 1) / 3 point blocks, and rank 2
-    the XOR of two distinct point blocks.  A 1 x 1 Gram has nullity at
+    For s <= 4 the test is one lookup in `_gram_table(s, s - 2)`.  The
+    Gram is I plus one rank-one block v^T conj(v) per vector v along the
+    longer side: the rows raw[t*m:(t+1)*m] of b on the column side, its
+    columns raw[c::m] on the row side.  Packed, it is the packed identity
+    XOR the blocks looked up by the bytes of v, and one bit of the table's
+    bitmap says whether it has rank s - 2.  A 1 x 1 Gram has nullity at
     most 1, so s = 1 never has hull 2.
 
     For s >= 5 the Gram is ranked by `gf4._eliminate`.  On the column side
     it is built straight from the bytes: column c of b is every m-th byte
-    of raw from c on, whose planes give the Gram of the columns, and the I
-    block adds 1 on its diagonal.
+    of raw from c on, whose planes (`_gather`) give the Gram of the
+    columns, and the I block adds 1 on its diagonal.
     """
     k1 = len(raw) // m
     s = min(m, k1)
     if s == 1:
         return None
     if s <= 4:
-        blocks, gram, ranked = _lift_table(s)
+        blocks, gram, ranked = _gram_table(s, s - 2)
         if m < k1:
             for t in range(0, len(raw), m):
                 gram ^= blocks[raw[t: t + m]]
@@ -757,12 +771,7 @@ def _lift_pivot(raw, m):
     elif m < k1:
         lo, hi = [], []
         for c in range(m):
-            # the planes of column c, 8 symbols at a time
-            w = int.from_bytes(raw[c::m], "little")
-            x = y = 0
-            for t in range(0, k1, 8):
-                x |= ((w >> 8 * t & _LOW_BITS) * _GATHER >> 56 & 255) << t
-                y |= ((w >> 8 * t + 1 & _LOW_BITS) * _GATHER >> 56 & 255) << t
+            x, y = _gather(raw[c::m])
             lo.append(x)
             hi.append(y)
         glo, ghi = gf4._hermitian_gram_planes(lo, hi)

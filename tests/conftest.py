@@ -79,6 +79,30 @@ def planes_to_matrix(lo, hi, ncols):
     ).reshape(len(lo), ncols)
 
 
+def unpacked_gram(g, s):
+    """The row planes of the Hermitian s x s Gram that `search._gram_table`
+    packs into g: the upper triangle of the 1-plane with its diagonal, then
+    the strict upper triangle of the w-plane; entry (j, i) is the conjugate
+    (c0 ^ c1, c1) of entry (i, j)."""
+    upper = [(i, j) for i in range(s) for j in range(i, s)]
+    strict = [(i, j) for i, j in upper if i < j]
+    glo, ghi = [0] * s, [0] * s
+    for t, (i, j) in enumerate(upper):
+        glo[i] |= (g >> t & 1) << j
+    for t, (i, j) in enumerate(strict, len(upper)):
+        c0, c1 = glo[i] >> j & 1, g >> t & 1
+        ghi[i] |= c1 << j
+        glo[j] |= (c0 ^ c1) << i
+        ghi[j] |= c1 << i
+    return glo, ghi
+
+
+def packed_gram_rank(g, s):
+    """The rank of the packed s x s Gram g by elimination on its unpacked
+    rows: a rank that does not read the bitmaps of `search._gram_table`."""
+    return len(gf4._eliminate(*unpacked_gram(g, s)))
+
+
 def oracle_codewords(gen):
     """All codewords by direct message-by-message evaluation (pure python)."""
     k, n = gen.shape
@@ -118,7 +142,8 @@ def oracle_enumerate_multiplicities(n, k, d):
     its weight is >= d, so "every weight >= d" is one mask test against
     `high`.  `bits` grows with n so that no lane, even with the maxed-out
     suffix and the bias added, carries into the next.  The Gram matrix is
-    one int of packed row planes, ranked only at leaves that reach weight d.
+    one int of k^2 packed bits (`search._gram_table`), ranked by elimination
+    (`packed_gram_rank`) only at leaves that reach weight d.
     A d < 1 would overfill the lanes, so it raises ValueError.
     """
     if d < 1:
@@ -133,7 +158,7 @@ def oracle_enumerate_multiplicities(n, k, d):
     if last == 0:
         # k = 1: the single column takes all of n, which the checks above
         # put inside [lower, upper], so this one vector is the only leaf
-        hit = n >= d and geo.gram_rank(gram_bits[0] if n % 2 else 0) == k - 1
+        hit = n >= d and packed_gram_rank(gram_bits[0] if n % 2 else 0, k) == k - 1
         return ((n,) if hit else None), 1
 
     bits = (max(n, d) * (length + 2)).bit_length() + 1
@@ -173,7 +198,7 @@ def oracle_enumerate_multiplicities(n, k, d):
                 if (weights + v * step + rest * inc[last] + bias) & high == high:
                     gram_v = gram ^ block if v % 2 else gram
                     gram_v ^= gram_bits[last] if rest % 2 else 0
-                    if geo.gram_rank(gram_v) == k - 1:
+                    if packed_gram_rank(gram_v, k) == k - 1:
                         m[pos], m[last] = v, rest
                         witness = tuple(m)
                         return

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hullforge import gf4
 from hullforge.bounds import (
     dh_closed_form,
     griesmer_holds,
@@ -20,6 +21,7 @@ from hullforge.construct import (
     MultiplicityVector,
     code_from_multiplicity,
     distance_two_code,
+    even_length_check_matrix,
 )
 from hullforge.exceptions import OutOfRangeError
 from hullforge.hull import hull_dim
@@ -244,6 +246,52 @@ def test_k_n_minus_3_on_the_dual_side():
         code = distance_two_code(n, 3)
         assert (code.k, hull_dim(code), code.min_distance()) == (n - 3, 1, 2), n
         assert dh_closed_form(n, n - 3).d == 2, n
+
+
+def test_k_n_minus_1_on_the_dual_side():
+    # integer arithmetic only: the Hermitian dual of an [n, n - 1] code is
+    # an [n, 1] code, which shares its hull.  With L nonzero columns, all on
+    # the one point of PG(0,4), it is hull-1 exactly when L is even (the
+    # k = 1 lemma), and n - L zero columns put weight-1 words in the code,
+    # so d = 2 needs L = n, and Singleton allows no more
+    for n in range(5, 2001):
+        best = max(1 + (nonzero == n) for nonzero in range(2, n + 1, 2))
+        assert dh_closed_form(n, n - 1).d == best == 2 - n % 2, n
+
+
+def test_k_n_minus_2_on_the_dual_side():
+    # integer arithmetic only: the Hermitian dual of an [n, n - 2] code is
+    # an [n, 2] code with multiplicities m on the 5 points of PG(1,4) and
+    # n - sum(m) zero columns.  The code has d >= 2 when the dual has no
+    # zero column, and d >= 3 when also no two of its columns are
+    # dependent, every m_i <= 1; it is hull-1 when 1 or 4 of the m_i are
+    # odd and, for dual dimension 2, two m_i are nonzero, every m_i <= n - 1
+    # (the k = 2 lemma).  From n = 6 on no 0/1 vector reaches sum n, and
+    # Singleton allows no d above 3
+    for n in range(5, 2001):
+        best = 3 if _k2_hull_one(n, 1) else 2 if _k2_hull_one(n, n - 1) else 1
+        assert dh_closed_form(n, n - 2).d == best == 2, n
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 11, 12, 31, 32])
+def test_high_rate_witnesses(n):
+    # k = n - 1: the dual of L nonzero symbols on one point, L = n for even
+    # n and n - 1 with one zero column for odd n.  k = n - 2: the dual of
+    # `even_length_check_matrix` for even n, and for odd n the even-length
+    # k = n - 2 code of length n - 1, padded with one zero column
+    even = n - n % 2
+    row = np.zeros((1, n), dtype=np.uint8)
+    row[0, :even] = 1
+    code = LinearCode.from_generator(row).hermitian_dual()
+    assert (code.k, hull_dim(code), code.min_distance()) == (n - 1, 1, 2 - n % 2), n
+    if n % 2:
+        short = LinearCode.from_generator(row[:, :-1]).hermitian_dual()
+        code = LinearCode.from_generator(
+            np.hstack([short.generator, np.zeros((n - 2, 1), dtype=np.uint8)]))
+    else:
+        check = even_length_check_matrix(n)
+        code = LinearCode.from_generator(gf4.kernel(gf4.CONJ[check]))
+    assert (code.k, hull_dim(code), code.min_distance()) == (n - 2, 1, 2), n
 
 
 def test_high_dimension_values():

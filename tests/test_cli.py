@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -476,9 +477,9 @@ def test_commands_leave_no_module_state(fixture_file):
     # every result comes from the call that returns it: no command leaves a
     # module-level memo behind, nor a memo on a class.  Only the per-k
     # constant tables may fill: the simplex generators (seen in construct
-    # and in search, which imports it) and the walk's projective geometry,
-    # with its lane columns and its Gram ranks; and the random search's
-    # per-side lift tables, which the (9, 5) search's 4 x 4 lifts fill
+    # and in search, which imports it), the walk's projective geometry with
+    # its lane columns, and the Gram tables of both engines: the k = 3
+    # walks' (3, 2) and the (9, 5) search's 4 x 4 lifts' (4, 2)
     commands = [
         ["table", "--max-n", "22", "--k", "3", "--exhaustive-max-n", "22"],
         ["search", "16", "3", "--hull", "1", "--target-d", "12"],
@@ -493,14 +494,28 @@ def test_commands_leave_no_module_state(fixture_file):
     constant = {"hullforge.construct.simplex_matrix",
                 "hullforge.search.simplex_matrix", "hullforge.search._geometry",
                 "hullforge.search._ProjectiveGeometry.columns",
-                "hullforge.search._ProjectiveGeometry.gram_rank",
-                "hullforge.search._lift_table"}
+                "hullforge.search._gram_table"}
     assert "hullforge.search._geometry" in report["changed"]
-    assert report["changed"]["hullforge.search._lift_table"] == [0, 1]
-    assert "hullforge.search._ProjectiveGeometry.gram_rank" in report["changed"]
+    assert report["changed"]["hullforge.search._gram_table"] == [0, 2]
     assert {key: sizes for key, sizes in report["changed"].items()
             if key not in constant} == {}
     assert report["statuses"] == [0] * len(commands)
+
+
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_search_refuses_lengths_past_64_bit_lanes_at_once(k):
+    # the k = 2 and k = 3 columns refuse a length too long for the walk's
+    # 64-bit weight lanes before their first walk, instead of walking every
+    # shorter length first
+    start = time.perf_counter()
+    done = run_python("-m", "hullforge.cli", "search", "99999999999999999999", k,
+                      timeout=10)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: n=99999999999999999999 is too large for 64-bit weight lanes"]
+    assert elapsed < 1
 
 
 def test_verify_paper_reports_table6_mismatch(capsys, monkeypatch):

@@ -16,7 +16,9 @@ from conftest import (
     oracle_hull_lift,
     oracle_random_search,
     oracle_row_planes,
+    packed_gram_rank,
     run_optimised,
+    unpacked_gram,
 )
 from hullforge import gf4, hull, search
 from hullforge.bounds import (
@@ -318,12 +320,10 @@ def test_restarted_walks_match_recursive_oracle(monkeypatch):
 def test_column_store_is_freed():
     # an exhaustive column shares one store across its walks, and each walk
     # of a certificate makes its own; none may outlive the call, not even
-    # when the cyclic collector never runs.  The 16-bit lane columns and the
-    # Gram ranks are cached for the process, so they are filled first
-    geo = search._geometry(3)
-    geo.columns(16)
-    for gram in _gram_span(geo):
-        geo.gram_rank(gram)
+    # when the cyclic collector never runs.  The geometry with its Gram
+    # table and its 16-bit lane columns is cached for the process, so it is
+    # built first
+    search._geometry(3).columns(16)
     enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
@@ -403,6 +403,21 @@ def test_walk_rejects_lengths_past_64_bit_lanes():
         _enumerate_multiplicities(2**62, 3, 2**62 - 2**60)
 
 
+@pytest.mark.parametrize("k, first", [(2, 1_317_624_576_693_539_402),
+                                      (3, 401_016_175_515_425_036)])
+def test_column_rejects_lengths_past_64_bit_lanes_before_walking(k, first):
+    # a walk's lane width follows from its length alone, so a column whose
+    # last length needs lanes past 64 bits is refused before its first walk;
+    # `first` is the first such length, where length * (columns + 2) reaches
+    # 2^63
+    columns = search._geometry(k).length
+    assert search._lane_bits(first - 1, columns) == 64
+    with pytest.raises(UnsupportedError, match="64-bit"):
+        search._lane_bits(first, columns)
+    with pytest.raises(UnsupportedError, match=f"n={first} is too large"):
+        exhaustive_dh(first, k)
+
+
 def test_shared_tables_refuse_writes():
     # the GF(4) tables and the cached geometry are shared by every caller
     geo = search._geometry(3)
@@ -423,7 +438,7 @@ def test_gram_rank_matches_numpy_gram(rng, k):
         for i in np.flatnonzero(m % 2):
             packed ^= geo.gram_bits[i]
         g = np.repeat(s, m, axis=1)
-        assert geo.gram_rank(packed) == gf4.rank(gf4.hermitian_gram(g))
+        assert packed_gram_rank(packed, k) == gf4.rank(gf4.hermitian_gram(g))
 
 
 @pytest.mark.parametrize("k, meets", [(2, 4), (3, 16)])
@@ -455,20 +470,13 @@ def _gram_span(geo):
 @pytest.mark.parametrize("k, hull_one", [(1, 1), (2, 5), (3, 210)])
 def test_gram_blocks_span_every_hermitian_gram(k, hull_one):
     # the XOR span of the blocks is every Hermitian k x k Gram, 2^(k^2) of
-    # them, so a process-wide rank cache holds at most 2 + 16 + 512 ranks
+    # them, and the geometry's bitmap marks exactly those of rank k - 1
     geo = search._geometry(k)
     span = _gram_span(geo)
     assert len(span) == 2 ** (k * k)
-    assert sum(geo.gram_rank(gram) == k - 1 for gram in span) == hull_one
-
-
-def test_gram_rank_cache_is_bounded():
-    # the walks rank only Grams of the span: however many walks run, the
-    # process-wide cache stays within every Hermitian Gram of k = 1, 2, 3
-    exhaustive_dh(25, 3)
-    certify_nonexistence(16, 3, 12)
-    exhaustive_dh(60, 2)
-    assert 0 < search._ProjectiveGeometry.gram_rank.cache_info().currsize <= 2 + 16 + 512
+    hits = {gram for gram in span if geo.hull_one[gram >> 3] >> (gram & 7) & 1}
+    assert hits == {gram for gram in span if packed_gram_rank(gram, k) == k - 1}
+    assert len(hits) == hull_one
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -477,7 +485,7 @@ def test_gram_ranks_of_points_and_pairs(k):
     geo = search._geometry(k)
     for size in (1, 2):
         for group in combinations(range(geo.length), size):
-            assert geo.gram_rank(_xor(geo.gram_bits[i] for i in group)) == size
+            assert packed_gram_rank(_xor(geo.gram_bits[i] for i in group), k) == size
 
 
 def test_gram_parity_facts_of_the_plane():
@@ -496,7 +504,7 @@ def test_gram_parity_facts_of_the_plane():
         assert _xor(geo.gram_bits[i] for i in six) == 0
     ranks = Counter(
         (any(set(triple) <= line for line in lines),
-         geo.gram_rank(_xor(geo.gram_bits[i] for i in triple)))
+         packed_gram_rank(_xor(geo.gram_bits[i] for i in triple), 3))
         for triple in combinations(points, 3))
     assert ranks == {(True, 2): 210, (False, 3): 1120}
 
@@ -799,40 +807,27 @@ def test_lift_test_matches_oracle_hull_lift(rng):
     assert min(passes.values()) >= 5 and len(passes) == 5, passes
 
 
-def _unpacked_gram(g, s):
-    """The row planes of the Hermitian s x s Gram that `_lift_table` packs
-    into g: the upper triangle of the 1-plane with its diagonal, then the
-    strict upper triangle of the w-plane; entry (j, i) is the conjugate
-    (c0 ^ c1, c1) of entry (i, j)."""
-    upper = [(i, j) for i in range(s) for j in range(i, s)]
-    strict = [(i, j) for i, j in upper if i < j]
-    glo, ghi = [0] * s, [0] * s
-    for t, (i, j) in enumerate(upper):
-        glo[i] |= (g >> t & 1) << j
-    for t, (i, j) in enumerate(strict, len(upper)):
-        c0, c1 = glo[i] >> j & 1, g >> t & 1
-        ghi[i] |= c1 << j
-        glo[j] |= (c0 ^ c1) << i
-        ghi[j] |= c1 << i
-    return glo, ghi
+# (s, rank, count): the Gram tables that the engines read, a hull-2 lift
+# of side s at rank s - 2 and the k <= 3 walk at rank k - 1: the zero Gram,
+# the 5 and 21 point blocks of PG(1, 4) and PG(2, 4), and the XORs of two
+# of the 21 and 85 point blocks of PG(2, 4) and PG(3, 4)
+_GRAM_TABLES = [(1, 0, 1), (2, 0, 1), (2, 1, 5), (3, 1, 21), (3, 2, 210), (4, 2, 3570)]
 
 
-@pytest.mark.parametrize("s, count", [(2, 1), (3, 21), (4, 3570)])
-def test_lift_table_is_exact(s, count):
-    # the bitmap against elimination on every packed Hermitian s x s Gram:
-    # rank 0 is the zero Gram, rank 1 the 21 point blocks of PG(2, 4), rank
-    # 2 the XORs of two of the 85 point blocks of PG(3, 4), C(85, 2) of them
-    blocks, eye, ranked = search._lift_table(s)
-    assert len(ranked) == 2 ** (s * s) // 8
+@pytest.mark.parametrize("s, rank, count", _GRAM_TABLES,
+                         ids=[f"{s}-{count}" for s, _, count in _GRAM_TABLES])
+def test_lift_table_is_exact(s, rank, count):
+    # the bitmap against elimination on every packed Hermitian s x s Gram
+    blocks, eye, ranked = search._gram_table(s, rank)
+    assert len(ranked) == max(1, 2 ** (s * s) // 8)
     bits = int.from_bytes(ranked, "little")
-    ones = bits.bit_count()
-    assert ones == count
+    assert bits.bit_count() == count
     grams = set()
     for g in range(2 ** (s * s)):
-        glo, ghi = _unpacked_gram(g, s)
+        glo, ghi = unpacked_gram(g, s)
         grams.add((tuple(glo), tuple(ghi)))
         hit = bits >> g & 1
-        assert hit == (len(gf4._eliminate(glo, ghi)) == s - 2), g
+        assert hit == (len(gf4._eliminate(glo, ghi)) == rank), g
     # the packing is one to one on the Hermitian Grams
     assert len(grams) == 2 ** (s * s)
     # each block is the Gram of its one-column matrix, and eye the identity
@@ -840,19 +835,29 @@ def test_lift_table_is_exact(s, count):
     for v in product(range(4), repeat=s):
         want = gf4._hermitian_gram_planes([x & 1 for x in v], [x >> 1 for x in v])
         assert 0 <= blocks[bytes(v)] < 2 ** (s * s)
-        assert _unpacked_gram(blocks[bytes(v)], s) == want, v
-    assert _unpacked_gram(eye, s) == ([1 << i for i in range(s)], [0] * s)
+        assert unpacked_gram(blocks[bytes(v)], s) == want, v
+    assert unpacked_gram(eye, s) == ([1 << i for i in range(s)], [0] * s)
 
 
 def test_lift_table_cache_is_bounded():
-    # lifts of every side s = min(n - k, k + 1) from 1 to 8 fill the per-s
-    # cache with s = 2, 3 and 4 alone, each a bitmap of at most 8 KB
-    search._lift_table.cache_clear()
+    # lifts of every side s = min(n - k, k + 1) from 1 to 8, and walks of
+    # k = 1, 2 and 3, fill the per-(side, rank) cache with the lifts'
+    # (2, 0), (3, 1) and (4, 2) and the walks' (1, 0), (2, 1) and (3, 2)
+    # alone, each a bitmap of at most 8 KB.  A walk reads its table through
+    # the cached geometry, so both caches start empty
+    search._gram_table.cache_clear()
+    search._geometry.cache_clear()
     for n, k in ((3, 2), (6, 4), (9, 6), (12, 8), (8, 3), (14, 5), (16, 8),
                  (6, 1), (10, 2), (20, 3)):
         random_search(n, k, 1, seed=5, budget=400)
-    assert search._lift_table.cache_info().currsize == 3
-    assert [len(search._lift_table(s)[2]) for s in (2, 3, 4)] == [2, 64, 8192]
+    exhaustive_dh(25, 3)
+    certify_nonexistence(16, 3, 12)
+    exhaustive_dh(60, 2)
+    exhaustive_dh(9, 1)
+    assert search._gram_table.cache_info().currsize == len(_GRAM_TABLES)
+    sizes = [len(search._gram_table(s, rank)[2]) for s, rank, _ in _GRAM_TABLES]
+    assert sizes == [1, 2, 2, 64, 64, 8192]
+    assert search._gram_table.cache_info().currsize == len(_GRAM_TABLES)
 
 
 def test_hull_dim_of_transposed_systematic_matrix(rng):
