@@ -47,14 +47,14 @@ value.  It never claims exhaustiveness.  Each chunk is handled as a whole:
   has reached min(Griesmer, sphere-packing) when a chunk starts, the walk
   keeps only the candidates whose A is below the best's (it still draws
   them all, as a lift's outcome fixes where the next draw starts);
-- the stack of kept A gets the hull-1 test (the Gram by popcount parity,
-  then GF(4) elimination of all candidates at once) and the screen of
-  light rows and row sums y + c x, in numpy;
-- in chunk order, a hull-1 candidate gets its weights from the shared
-  `code._plane_weights` only if it can still win by the tie rule: its
-  light weight, the least weight of a row or a row sum, which bounds its
+- the stack of kept A gets the screen of light rows and row sums
+  y + c x, in numpy;
+- in chunk order, a candidate gets the hull-1 test, on packed planes as in
+  `gf4._eliminate`, only if it can still win by the tie rule: its light
+  weight, the least weight of a row or a row sum, which bounds its
   distance from above, must reach what it needs, and what it needs must
-  not exceed the ceiling.
+  not exceed the ceiling.  A hull-1 one then gets its weights from the
+  shared `code._plane_weights`.
 No candidate builds a `LinearCode`.  The accepted witness is then
 re-verified on the independent numpy path (`hull.hull_dim` over
 `gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
@@ -154,10 +154,15 @@ def _gram_table(s, rank):
                 t += s - i - first
         return g
 
+    # one block per projective point, shared by its scalar multiples
+    mul = gf4.MUL.tolist()
     blocks = {}
     for v in product(range(4), repeat=s):
-        blocks[bytes(v)] = pack(*gf4._hermitian_gram_planes(
-            [x & 1 for x in v], [x >> 1 for x in v]))
+        if bytes(v) not in blocks:
+            block = pack(*gf4._hermitian_gram_planes(
+                [x & 1 for x in v], [x >> 1 for x in v]))
+            for c in (1, 2, 3):
+                blocks[bytes(mul[c][x] for x in v)] = block
     # the blocks of nonzero vectors: one per projective point
     points = set(blocks.values()) - {0}
     # at s = 1 the Gram packs into one bit, which still takes a byte
@@ -681,13 +686,13 @@ def certify_nonexistence(n, k, d):
 # at bit 56 + t; every partial product lands on its own bit, so nothing carries
 _GATHER = 0x0102040810204080
 _LOW_BITS = 0x0101010101010101
-# most candidates per call of the stack kernels, and most k * k * ceil(m / 8)
-# bytes of row pairs over a call's candidates, which bounds the light
-# screen's temporaries; both keep the process's peak memory small
+# most candidates per call of the light screen, and most k * k * ceil(m / 8)
+# bytes of row pairs over a call's candidates, which bounds its
+# temporaries; both keep the process's peak memory small
 _SLICE = 256
 _SLICE_BYTES = 1 << 17
-# the popcount of every byte, for the kernels below: numpy's uint8 popcount
-# loop would run for them alone, and paging its code in costs 128 KiB of
+# the popcount of every byte, for the light screen: numpy's uint8 popcount
+# loop would run for it alone, and paging its code in costs 128 KiB of
 # peak memory.  Built in Python: a numpy loop run at import would page code
 # in for every command
 _POPCOUNT = np.frombuffer(bytes(bin(b).count("1") for b in range(256)),
@@ -808,43 +813,44 @@ class _Draws:
     takes no word.  `symbols(N)` is the bytes of
     `rng.integers(0, 4, size=N, dtype=np.uint8)`: each call starts a fresh
     run of ceil(N / 4) words, read as little-endian bytes, and a byte b
-    gives b >> 6.  The first `random_raw` call fetches `words` words; a
-    draw that runs past the buffer extends it with the next outputs.
+    gives b >> 6.  Each buffer is translated to symbols once, when it is
+    fetched, so `symbols` is one slice.  The first `random_raw` call
+    fetches `words` words; a draw that runs past the buffer extends it, and
+    its symbols, with the next outputs.
     """
 
     def __init__(self, bit_generator, words):
         self._bit_generator = bit_generator
-        self._raw = memoryview(b"")  # the words drawn so far, little-endian
-        self._pos = 0  # index of the next unused word
+        self._raw = b""  # the words drawn so far, little-endian
+        self._symbols = b""  # the symbol of each byte of _raw
+        self._pos = 0  # byte offset of the next unused word
         self._extend(words)
 
     def _extend(self, words):
-        raw = self._bit_generator.random_raw(-(-words // 2))
-        more = raw.astype("<u8", copy=False).view(np.uint8).data
-        self._raw = memoryview(bytes(self._raw) + more) if self._raw else more
-
-    def _take(self, words):
-        """The byte offset of the next `words` words, which are used up."""
-        short = self._pos + words - len(self._raw) // 4
-        if short > 0:
-            self._extend(short)
-        start = 4 * self._pos
-        self._pos += words
-        return start
+        more = self._bit_generator.random_raw(-(-words // 2)).astype(
+            "<u8", copy=False).tobytes()
+        self._raw += more
+        self._symbols += more.translate(_TOP_BITS)
 
     def bounded(self, bound):
         if bound == 1:
             return 0
         threshold = (1 << 32) % bound
         while True:
-            s = self._take(1)
+            s = self._pos
+            if s + 4 > len(self._raw):
+                self._extend(1)
+            self._pos = s + 4
             x = int.from_bytes(self._raw[s: s + 4], "little") * bound
             if x & 0xFFFFFFFF >= threshold:
                 return x >> 32
 
     def symbols(self, count):
-        s = self._take(-(-count // 4))
-        return bytes(self._raw[s: s + count]).translate(_TOP_BITS)
+        s = self._pos
+        self._pos = s + 4 * -(-count // 4)
+        if self._pos > len(self._raw):
+            self._extend((self._pos - len(self._raw)) // 4)
+        return self._symbols[s: s + count]
 
 
 def _chunk_words(k, m, size):
@@ -899,64 +905,6 @@ def _stack_planes(stack):
                        bitorder="little")
 
 
-def _stack_hull_dims(lo, hi):
-    """The hull dimension of [I | A] for each A of a stack given by its
-    `_stack_planes`: the nullity of the Gram I + A conj(A)^T.
-
-    The Gram entries are popcount parities, as in
-    `gf4._hermitian_gram_planes`, and its rows are packed into two uint32
-    planes, column j at bit j.  All candidates are eliminated at once, one
-    column at a time: the pivot is the first row nonzero in the column, and
-    every row, the pivot included, takes away its entry times the pivot
-    scaled to 1, which leaves the pivot row zero.  The number of pivots is
-    the rank.  The pivot is the lowest set bit of a row mask rather than an
-    argmax: a compare, min or argmax loop would run here alone, and paging
-    its code in costs 128 KiB of peak memory each (see _POPCOUNT).
-    """
-    size, k = lo.shape[:2]
-    index = np.arange(k, dtype=np.uint32)
-    rows = np.uint32(1) << index
-    glo = np.zeros((size, k), dtype=np.uint32)
-    glo ^= rows  # the I block adds 1 on the diagonal
-    ghi = np.zeros((size, k), dtype=np.uint32)
-    for j in range(k):
-        # column j of the Gram, for every row at once
-        y0, y1 = lo[:, j: j + 1], hi[:, j: j + 1]
-        g0 = np.bitwise_xor.reduce((lo & (y0 ^ y1)) ^ (hi & y1), axis=-1)
-        g1 = np.bitwise_xor.reduce((lo & y1) ^ (hi & y0), axis=-1)
-        glo ^= (_POPCOUNT[g0] & 1) * rows[j]
-        ghi ^= (_POPCOUNT[g1] & 1) * rows[j]
-    used = np.zeros(size, dtype=np.uint32)  # bit i: row i was a pivot
-    for c in range(k):
-        e0 = glo >> c
-        e0 &= 1
-        e1 = ghi >> c
-        e1 &= 1
-        pick = e0 | e1
-        pick *= rows
-        first = pick.sum(axis=1, dtype=np.uint32)
-        # the lowest set bit of a mask x is x & (x ^ (x - 1)), 0 for x = 0
-        first &= first ^ (first - 1)
-        used |= first
-        np.right_shift(first[:, None], index, out=pick)
-        pick &= 1
-        a = (glo * pick).sum(axis=1, dtype=np.uint32)
-        b = (ghi * pick).sum(axis=1, dtype=np.uint32)
-        # scale the pivot row to 1 in column c by the inverse of its entry
-        # (p0, p1), which is its conjugate (p0 ^ p1, p1); (c0 + c1 w) times
-        # (a + b w) has the planes (c0 a ^ c1 b, c0 b ^ c1 (a ^ b))
-        c1 = b >> c & 1
-        c0 = (a >> c & 1) ^ c1
-        a, b = c0 * a ^ c1 * b, c0 * b ^ c1 * (a ^ b)
-        a, b, ab = a[:, None], b[:, None], (a ^ b)[:, None]
-        # take entry * pivot away from every row
-        glo ^= e0 * a
-        glo ^= e1 * b
-        ghi ^= e0 * b
-        ghi ^= e1 * ab
-    return k - np.bitwise_count(used).astype(np.intp)
-
-
 def _stack_light(lo, hi):
     """For each A of a stack given by its `_stack_planes`, the least weight
     of a row of [I | A], 1 + wt(a_y), and of a sum y + c x of two of its
@@ -983,14 +931,14 @@ def _stack_light(lo, hi):
 
 
 def _screen(stack, bound):
-    """The candidates of a chunk's (S, k, m) stack that are hull-1 and whose
-    light weight (`_stack_light`) reaches bound, in chunk order: their A
-    bytes joined, and their light weights.  The kernels run on slices of
-    the same number of candidates, at most _SLICE and _SLICE_BYTES, and
-    nothing of the stack outlives the call.  A short last slice is filled
-    up with zero A, which is never hull-1 (its Gram is I): numpy keeps
-    buffers of every shape its kernels have run on, so a slice of a new
-    size would leave some behind (about 16 KB of peak memory each)."""
+    """The candidates of a chunk's (S, k, m) stack whose light weight
+    (`_stack_light`) reaches bound, in chunk order: their A bytes joined,
+    and their light weights.  The kernel runs on slices of the same number
+    of candidates, at most _SLICE and _SLICE_BYTES, and nothing of the
+    stack outlives the call.  A short last slice is filled up with zero A,
+    whose weights are dropped: numpy keeps buffers of every shape its
+    kernels have run on, so a slice of a new size would leave some behind
+    (about 16 KB of peak memory each)."""
     size, k, m = stack.shape
     step = max(1, min(_SLICE, _SLICE_BYTES // (k * k * -(-m // 8))))
     kept, light = bytearray(), []
@@ -999,10 +947,8 @@ def _screen(stack, bound):
         if len(part) < step:
             part = np.zeros((step, k, m), dtype=np.uint8)
             part[: size - s] = stack[s:]
-        lo, hi = _stack_planes(part)
-        dims = _stack_hull_dims(lo, hi).tolist()
-        for j, weight in enumerate(_stack_light(lo, hi)[: size - s]):
-            if dims[j] == 1 and weight >= bound:
+        for j, weight in enumerate(_stack_light(*_stack_planes(part))[: size - s]):
+            if weight >= bound:
                 kept += stack[s + j].tobytes()
                 light.append(weight)
     return kept, light
@@ -1029,12 +975,15 @@ def random_search(n, k, target_d, seed, budget):
     min(Griesmer, sphere-packing), the largest distance any [n, k] code can
     have, no candidate can beat it strictly, and since the best's A only
     falls, the walk keeps only the candidates whose A is below the best's
-    at the start.  The stack of kept A then gets the hull-1 test and the
-    light-codeword screen in numpy, a slice of candidates at a time
-    (`_stack_hull_dims`, `_stack_light`).  Last, in
-    chunk order, a hull-1 candidate gets its weights (`_plane_weights`)
-    when its light weight reaches what the rule needs, and that need is
-    within the ceiling.  No screen changes a draw or the outcome.
+    at the start.  The stack of kept A then gets the light-codeword screen
+    in numpy, a slice of candidates at a time (`_screen`).  Last, in chunk
+    order, a candidate whose light weight reaches what the rule needs,
+    with that need within the ceiling, gets the hull-1 test on its packed
+    planes (`_planes_hull_dim`), and a hull-1 one its weights
+    (`_plane_weights`).  The need is never below the best distance at the
+    chunk's start, the bound of the screen, so the tests run on exactly
+    the candidates that could still win.  No screen changes a draw or the
+    outcome.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -1068,7 +1017,10 @@ def random_search(n, k, target_d, seed, budget):
             # two nonzero message symbols is lighter than it needs
             if weight < need or need > ceiling:
                 continue
-            counts = _plane_weights(*_symbol_planes(a, k, m), n)
+            planes = _symbol_planes(a, k, m)
+            if _planes_hull_dim(*planes) != 1:
+                continue
+            counts = _plane_weights(*planes, n)
             d = int(np.flatnonzero(counts[1:])[0]) + 1
             if d >= need:
                 best_d, best = d, a

@@ -260,7 +260,8 @@ def oracle_hull_lift(b):
 def oracle_random_search(n, k, seed, budget):
     """The loop of `search.random_search` before it screened row pairs and
     ties: only the row screen, then the hull test and the weights of every
-    candidate that passes it.  Returns (best_d, best generator bytes or
+    candidate that passes it.  The hull test is the numpy Gram's rank, not
+    the engine's packed one.  Returns (best_d, best generator bytes or
     None)."""
     best_d, best = 0, None
     for t in range(budget):
@@ -285,13 +286,14 @@ def oracle_random_search(n, k, seed, budget):
             planes = current = search._systematic_planes(a)
         if min((x0 | x1).bit_count() for x0, x1 in zip(*planes)) < best_d:
             continue
-        if search._planes_hull_dim(*planes) != 1:
+        gen = gf4._planes_matrix(*planes, n)
+        if k - gf4.rank(gf4.hermitian_gram(gen)) != 1:
             continue
         counts = search._plane_weights(*planes, n)
         d = int(np.flatnonzero(counts[1:])[0]) + 1
         if d < best_d:
             continue
-        gen = gf4._planes_matrix(*planes, n).tobytes()
+        gen = gen.tobytes()
         if d > best_d or gen < best:
             best_d, best = d, gen
     return best_d, best

@@ -909,24 +909,6 @@ def test_light_screen_against_weights(rng):
     assert search._stack_light(*search._stack_planes(a[None])) == [4]
 
 
-def test_stack_hull_dims_match_numpy(rng):
-    # the batched hull test against hull.hull_dim for 1..15 rows, at widths
-    # that end inside, at and past the 64- and 128-bit boundaries
-    dims = Counter()
-    for r in range(1, 16):
-        for m in sorted({1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 140,
-                         int(rng.integers(1, 141))}):
-            stack = rng.integers(0, 4, size=(4, r, m), dtype=np.uint8)
-            # sparse A, down to all zeros, gives larger hulls
-            stack[rng.random(stack.shape) < rng.random() ** 0.3] = 0
-            got = search._stack_hull_dims(*search._stack_planes(stack)).tolist()
-            want = [hull_dim(LinearCode(np.hstack([np.eye(r, dtype=np.uint8), a])))
-                    for a in stack]
-            assert got == want, (r, m)
-            dims.update(want)
-    assert {0, 1, 2, 3} <= set(dims)
-
-
 class _CountingBits:
     """A bit generator whose `random_raw` calls are counted."""
 
@@ -1062,16 +1044,17 @@ def test_random_search_matches_oracle_loop():
 
 
 def test_random_search_rejection_counts(monkeypatch):
-    # the screens leave few candidates to the weights; the hull-1 test and
-    # the light screen run once per slice of 256, and a Gram is built in
-    # Python only for the 43 lifts that pass: the 682 tests on the smaller
-    # side, 4 x 4, are table lookups (725 Grams before them).  Chunk 2
-    # starts at the ceiling, so its walk keeps only the 409 candidates
-    # below the best, two slices instead of four; and a candidate not below
-    # the best gets no weights unless its light weight could beat the best
-    # strictly.  Before the screens this search made 1,156 Grams and 182
-    # enumerations; before the walk's filter and the one tie rule, 8 slices
-    # and 34 enumerations
+    # the screens leave few candidates to the weights; the light screen
+    # runs once per slice of 256, and a Gram is built in Python only for
+    # the 43 lifts that pass, the 682 tests on the smaller side, 4 x 4,
+    # being table lookups (725 Grams before them), and for the 36
+    # candidates whose light weight can still win, which get the hull-1
+    # test.  Chunk 2 starts at the ceiling, so its walk keeps only the 409
+    # candidates below the best, two slices instead of four; and a
+    # candidate not below the best gets no hull test or weights unless its
+    # light weight could beat the best strictly.  Before the screens this
+    # search made 1,156 Grams and 182 enumerations; before the walk's
+    # filter and the one tie rule, 8 slices and 34 enumerations
     calls = Counter()
 
     def count(owner, name):
@@ -1083,12 +1066,12 @@ def test_random_search_rejection_counts(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(search, "_plane_weights")
-    count(search, "_stack_hull_dims")
+    count(search, "_planes_hull_dim")
     count(search, "_stack_light")
     count(gf4, "_hermitian_gram_planes")
     random_search(9, 5, 4, seed=3, budget=2048)
-    assert calls == {"_plane_weights": 13, "_stack_hull_dims": 6,
-                     "_stack_light": 6, "_hermitian_gram_planes": 43}
+    assert calls == {"_plane_weights": 13, "_planes_hull_dim": 36,
+                     "_stack_light": 6, "_hermitian_gram_planes": 79}
 
 
 def test_random_search_slices_keep_the_outcome(monkeypatch):
@@ -1101,19 +1084,19 @@ def test_random_search_slices_keep_the_outcome(monkeypatch):
 
 
 def test_screen_runs_every_slice_at_one_size(monkeypatch, rng):
-    # a short last slice is filled up with zero A, which is never hull-1,
-    # so every kernel call has the slice's shape, and the screen keeps what
-    # slices of one candidate each keep
+    # a short last slice is filled up with zero A, whose weights are
+    # dropped, so every kernel call has the slice's shape, and the screen
+    # keeps what slices of one candidate each keep
     stack = rng.integers(0, 4, size=(300, 5, 4), dtype=np.uint8)
     stack[rng.random(stack.shape) < 0.3] = 0
     shapes = set()
-    hull_dims = search._stack_hull_dims
+    light = search._stack_light
 
     def recorded(lo, hi):
         shapes.add(lo.shape)
-        return hull_dims(lo, hi)
+        return light(lo, hi)
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_stack_hull_dims", recorded)
+        patch.setattr(search, "_stack_light", recorded)
         got = search._screen(stack, 3)
     assert shapes == {(256, 5, 1)}
     monkeypatch.setattr(search, "_SLICE_BYTES", 1)
@@ -1126,10 +1109,9 @@ def test_random_search_without_hull_one_candidate():
 
 
 def test_random_search_rechecks_witness_hull(monkeypatch):
-    # every candidate passes the batched hull test; the winner's real hull
+    # every candidate passes the engine's hull test; the winner's real hull
     # is checked again on the numpy path
-    monkeypatch.setattr(search, "_stack_hull_dims",
-                        lambda lo, hi: np.ones(len(lo), dtype=np.intp))
+    monkeypatch.setattr(search, "_planes_hull_dim", lambda lo, hi: 1)
     with pytest.raises(AssertionError, match="hull dimension"):
         random_search(8, 4, 1, seed=0, budget=64)
 
