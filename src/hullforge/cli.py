@@ -124,25 +124,21 @@ def cmd_analyze(args, out):
 
 def cmd_search(args, out):
     if args.hull != 1:
-        print("error: only hull dimension 1 is supported", file=sys.stderr)
-        return EXIT_USAGE
+        raise HullforgeError("only hull dimension 1 is supported")
     n, k = args.n, args.k
     if n < 2 or not 1 <= k < n:
-        print("error: need n >= 2 and 1 <= k < n", file=sys.stderr)
-        return EXIT_USAGE
+        raise HullforgeError("need n >= 2 and 1 <= k < n")
     if args.budget < 1:
-        print("error: need --budget >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise HullforgeError("need --budget >= 1")
     if args.target_d is not None and not 1 <= args.target_d <= n:
-        print("error: need 1 <= --target-d <= n", file=sys.stderr)
-        return EXIT_USAGE
+        raise HullforgeError("need 1 <= --target-d <= n")
     if k <= 3:
         if args.target_d is not None:
             result = search.certify_nonexistence(n, k, args.target_d)
             if isinstance(result, search.NonexistenceCertificate):
-                bounds = result.pruning_bounds
-                reason = "Griesmer bound" if bounds is None else "exhaustive"
-                tail = "" if bounds is None else f", per-column bounds {bounds}"
+                pruning = result.pruning_bounds
+                reason = "Griesmer bound" if pruning is None else "exhaustive"
+                tail = "" if pruning is None else f", per-column bounds {pruning}"
                 out.write(
                     f"no [{n},{k},>={args.target_d}] hull-1 code exists "
                     f"({reason}; {result.vectors_examined} multiplicity "
@@ -161,8 +157,7 @@ def cmd_search(args, out):
         return EXIT_OK
     if args.seed < 0:
         # the exhaustive path above ignores the seed
-        print("error: need --seed >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise HullforgeError("need --seed >= 0")
     target = args.target_d if args.target_d is not None else 1
     outcome = search.random_search(n, k, target, seed=args.seed,
                                    budget=args.budget)

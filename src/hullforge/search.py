@@ -1,68 +1,15 @@
-"""Search for quaternary hull-1 codes.
+"""Search for quaternary hull-1 codes, by two engines.
 
-Exhaustive determination of the largest hull-1 distance for k <= 3 works in
-the multiplicity-vector representation: every code without a zero column is
-equivalent to a code whose generator columns are simplex columns with
-multiplicities m_i, so enumerating m with column-count pruning is a complete
-search over that class.  Codes with a zero column (dual distance 1) are
-covered by the result at length n - 1; the lengths k..n are solved bottom-up,
-in one loop.  At each length d is scanned down from the Griesmer bound: at
-k <= 3 the sphere-packing bound never lies below it (`exhaustive_dh`).
-The walk is a DFS on packed Python ints over the leading columns; each node
-it reaches at a fixed depth is settled over a table of every completion of
-the remaining columns, in the DFS's own order, by ANDing one row bitset per
-projective class: bit r of a class's bitset says that row r lifts that
-class's weight to the bound, so the AND holds exactly the rows that lift
-every class.  A table's rows are composed in numpy from the completions of
-its shorter tails, not walked.  A walk settles on tables of at most
-_TABLE_ROWS rows; one that settles more than _SETTLE_LIMIT nodes restarts
-on tables of up to _RESTART_ROWS rows, which settle far fewer nodes, and
-returns the same witness and count.  A class's bitsets are keyed by what
-the row must add, the bound less the class's prefix weight, so a table and
-its bitsets depend on the multiplicity bounds, the lane width and the
-table's span alone, never on n or d: the walks of one exhaustive column
-share them in one store, which lives as long as the call.  Walks also
-share the geometry's cached constants of k alone (`_geometry`, its lane
-columns and its bitmap of hull-1 Grams from `_gram_table`), which live as
-long as the process.
+- Exhaustive, k <= 3: `exhaustive_dh` solves a column of lengths and
+  `certify_nonexistence` proves that no [n, k, >= d] code exists, both by
+  the walk over multiplicity vectors (`_enumerate_multiplicities`, pruned
+  by `multiplicity_bounds`, on the constants of `_geometry`).
+- Randomized, seeded and never exhaustive: `random_search`, whose chunks
+  `_chunk_candidates` draws (from `_Draws`, testing hull-2 lifts in
+  `_lift_pivot`) and `_screen` weighs (`_stack_light`).
 
-For k >= 4 only a seeded, deterministic randomized search is offered: one
-pass over the budget, with one running best, that starts a new RNG stream
-every _RANDOM_CHUNK candidates, so a seed and a budget fix every emitted
-value.  It never claims exhaustiveness.  Each chunk is handled as a whole:
-- its draws come from one `random_raw` buffer of the chunk's bit
-  generator, decoded exactly as `Generator.integers` consumes it
-  (`_Draws`), so the candidates are those of one `integers` call per draw;
-- a Python walk over the draws builds every candidate [I | A].  A hull-2
-  lift from length n + 1 is tested on the smaller of [I | b] and
-  [I | b^T], whose hulls have equal dimension (C and its Hermitian dual
-  share their hull).  When that side s is at most 4 the test is one
-  lookup: the Gram is I XOR one rank-one block per vector along the
-  longer side, and its packing indexes the bitmap of the Grams of rank
-  s - 2 (`_gram_table`).  For s >= 5 the test runs on packed planes as in
-  `gf4._eliminate`, the Gram of [I | b^T] built straight from the draw's
-  bytes;
-- one tie rule decides every acceptance: a candidate whose A is not below
-  the best's must beat the best's distance strictly.  So once the best
-  has reached min(Griesmer, sphere-packing) when a chunk starts, the walk
-  keeps only the candidates whose A is below the best's (it still draws
-  them all, as a lift's outcome fixes where the next draw starts);
-- the stack of kept A gets the screen of light rows and row sums
-  y + c x, in numpy;
-- in chunk order, a candidate gets the hull-1 test, on packed planes as in
-  `gf4._eliminate`, only if it can still win by the tie rule: its light
-  weight, the least weight of a row or a row sum, which bounds its
-  distance from above, must reach what it needs, and what it needs must
-  not exceed the ceiling.  A hull-1 one then gets its weights from the
-  shared `code._plane_weights`.
-No candidate builds a `LinearCode`.  The accepted witness is then
-re-verified on the independent numpy path (`hull.hull_dim` over
-`gf4.hermitian_gram`, and the weights of a fresh `LinearCode`).
-
-Both engines re-check their witness in `_verified`, with explicit raises,
-so the check survives `python -O`.  `exhaustive_dh` and `random_search`
-require the exact distance they report, `certify_nonexistence` at least
-its d.
+Both engines read the packed Hermitian Grams of `_gram_table`, and both
+re-check their witness on an independent path in `_verified`.
 """
 
 import struct
@@ -569,7 +516,8 @@ def _verified(code, d, exact):
     """The distance of the witness `code`, re-checked on the numpy path
     (`hull.hull_dim` over `gf4.hermitian_gram`, and the weights of the
     code): it must be hull-1 and have distance d, or at least d when not
-    `exact`.  Explicit raises, so the check survives `python -O`."""
+    `exact`, as for `certify_nonexistence`.  Explicit raises, so the check
+    survives `python -O`."""
     dim = hull_dim(code)
     if dim != 1:
         raise AssertionError(f"witness has hull dimension {dim}")
@@ -582,7 +530,11 @@ def _verified(code, d, exact):
 def exhaustive_dh(n, k):
     """Exact largest hull-1 distance for k in {1, 2, 3}.
 
-    At each length, scans d downward from the Griesmer bound to one above
+    Every code without a zero column is equivalent to one whose generator
+    columns are simplex columns with multiplicities m_i, so a walk over the
+    vectors m is complete on that class; a code with a zero column (dual
+    distance 1) is covered by the result at length n - 1.  At each length,
+    scans d downward from the Griesmer bound to one above
     the best distance at the length before; the first d with a
     multiplicity-vector witness is exact, and with none the zero-column
     lift of the shorter witness keeps that best.  `explored` is cumulative
@@ -897,24 +849,20 @@ def _chunk_candidates(bit_generator, k, m, size, below=None):
     return np.frombuffer(out, dtype=np.uint8, count=at).reshape(-1, k, m)
 
 
-def _stack_planes(stack):
-    """The 1-bit and the w-bit planes of the rows of a (S, k, m) stack of
-    symbols, as one (2, S, k, ceil(m / 8)) uint8 array, column j at bit
-    j % 8 of byte j // 8."""
-    return np.packbits(stack & gf4._PLANE_MASKS[..., None], axis=-1,
-                       bitorder="little")
-
-
-def _stack_light(lo, hi):
-    """For each A of a stack given by its `_stack_planes`, the least weight
-    of a row of [I | A], 1 + wt(a_y), and of a sum y + c x of two of its
-    rows, 2 + wt(a_y + c a_x) for c in {1, w, w^2}: a list.
+def _stack_light(stack):
+    """For each A of a (S, k, m) stack of symbols, the least weight of a
+    row of [I | A], 1 + wt(a_y), and of a sum y + c x of two of its rows,
+    2 + wt(a_y + c a_x) for c in {1, w, w^2}: a list.
 
     It bounds the distance of [I | A] from above, and for bound <= 3 it
     also decides d < bound: a codeword of weight <= 2 has at most two
     nonzero message symbols, so it is a multiple of a row or of some
     y + c x.
     """
+    # the 1-bit and the w-bit planes of the rows, column j at bit j % 8 of
+    # byte j // 8
+    lo, hi = np.packbits(stack & gf4._PLANE_MASKS[..., None], axis=-1,
+                         bitorder="little")
     k = lo.shape[1]
     x = [i for j in range(k) for i in range(j)]
     y = [j for j in range(k) for i in range(j)]
@@ -930,28 +878,24 @@ def _stack_light(lo, hi):
     return [min(w.tolist()) for w in weights]
 
 
-def _screen(stack, bound):
-    """The candidates of a chunk's (S, k, m) stack whose light weight
-    (`_stack_light`) reaches bound, in chunk order: their A bytes joined,
-    and their light weights.  The kernel runs on slices of the same number
-    of candidates, at most _SLICE and _SLICE_BYTES, and nothing of the
-    stack outlives the call.  A short last slice is filled up with zero A,
-    whose weights are dropped: numpy keeps buffers of every shape its
-    kernels have run on, so a slice of a new size would leave some behind
-    (about 16 KB of peak memory each)."""
+def _screen(stack):
+    """The light weight (`_stack_light`) of every candidate of a chunk's
+    (S, k, m) stack, in chunk order: a list of ints.  The kernel runs on
+    slices of the same number of candidates, at most _SLICE and
+    _SLICE_BYTES.  A short last slice is filled up with zero A, whose
+    weights are dropped: numpy keeps buffers of every shape its kernels
+    have run on, so a slice of a new size would leave some behind (about
+    16 KB of peak memory each)."""
     size, k, m = stack.shape
     step = max(1, min(_SLICE, _SLICE_BYTES // (k * k * -(-m // 8))))
-    kept, light = bytearray(), []
+    light = []
     for s in range(0, size, step):
         part = stack[s: s + step]
         if len(part) < step:
             part = np.zeros((step, k, m), dtype=np.uint8)
             part[: size - s] = stack[s:]
-        for j, weight in enumerate(_stack_light(*_stack_planes(part))[: size - s]):
-            if weight >= bound:
-                kept += stack[s + j].tobytes()
-                light.append(weight)
-    return kept, light
+        light += _stack_light(part)[: size - s]
+    return light
 
 
 def random_search(n, k, target_d, seed, budget):
@@ -968,22 +912,17 @@ def random_search(n, k, target_d, seed, budget):
     rule reads: a candidate whose A is not below the best's must beat the
     best strictly.
 
-    A chunk is handled in three steps.  `_chunk_candidates` walks the
-    draws, decoded by `_Draws` from one raw buffer, and runs each lift's
-    hull-2 test (`_lift_pivot`, on the smaller Gram, by a table lookup when
-    its side is at most 4).  When the chunk starts with the best at
-    min(Griesmer, sphere-packing), the largest distance any [n, k] code can
-    have, no candidate can beat it strictly, and since the best's A only
-    falls, the walk keeps only the candidates whose A is below the best's
-    at the start.  The stack of kept A then gets the light-codeword screen
-    in numpy, a slice of candidates at a time (`_screen`).  Last, in chunk
-    order, a candidate whose light weight reaches what the rule needs,
-    with that need within the ceiling, gets the hull-1 test on its packed
-    planes (`_planes_hull_dim`), and a hull-1 one its weights
-    (`_plane_weights`).  The need is never below the best distance at the
-    chunk's start, the bound of the screen, so the tests run on exactly
-    the candidates that could still win.  No screen changes a draw or the
-    outcome.
+    A chunk is handled in three steps.  `_chunk_candidates` draws it.  When
+    the chunk starts with the best at the ceiling, no candidate can beat
+    the best strictly, and since the best's A only falls, the walk keeps
+    only the candidates whose A is below the best's at the start.
+    `_screen` then gives each kept candidate its light weight, in numpy.
+    Last, in chunk order, a candidate whose light weight reaches what the
+    rule needs, with that need within the ceiling, gets the hull-1 test on
+    its packed planes (`_planes_hull_dim`), and a hull-1 one its weights
+    (`_plane_weights`), so the tests run on exactly the candidates that
+    could still win, and no candidate builds a `LinearCode`.  No screen
+    changes a draw or the outcome.
     """
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
@@ -1001,20 +940,14 @@ def random_search(n, k, target_d, seed, budget):
     for start in range(0, budget, _RANDOM_CHUNK):
         size = min(_RANDOM_CHUNK, budget - start)
         rng = np.random.default_rng([seed, start // _RANDOM_CHUNK])
-        # at the ceiling only an A below the best can still win, and the
-        # best only falls, so the walk keeps only those; the chunk is freed
-        # before its weights are enumerated
         stack = _chunk_candidates(rng.bit_generator, k, m, size,
                                   best if best_d >= ceiling else None)
-        kept, light = _screen(stack, best_d)
-        del stack
-        for i, weight in enumerate(light):
-            a = bytes(kept[i * k * m: (i + 1) * k * m])
-            # the one tie rule: a candidate whose A is not below the best's
-            # must beat the best strictly
+        for i, weight in enumerate(_screen(stack)):
+            # need >= best_d below: this only skips the copy of A
+            if weight < best_d:
+                continue
+            a = stack[i].tobytes()
             need = best_d + 1 if best is not None and a >= best else best_d
-            # the light weight bounds d from above: a codeword with at most
-            # two nonzero message symbols is lighter than it needs
             if weight < need or need > ceiling:
                 continue
             planes = _symbol_planes(a, k, m)

@@ -891,7 +891,7 @@ def test_light_screen_against_weights(rng):
             c = 1 + t // 2 % 3
             stack[:, -1] = gf4.MUL[c, stack[:, int(rng.integers(k - 1))]]
             stack[:, -1, int(rng.integers(m))] ^= np.uint8(t // 6 % 2)
-        light = search._stack_light(*search._stack_planes(stack))
+        light = search._stack_light(stack)
         assert len(light) == len(stack)
         for a, weight in zip(stack, light):
             counts = search._plane_weights(*search._systematic_planes(a), k + m)
@@ -906,7 +906,7 @@ def test_light_screen_against_weights(rng):
     a = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
                  dtype=np.uint8)
     assert LinearCode(np.hstack([np.eye(3, dtype=np.uint8), a])).min_distance() == 3
-    assert search._stack_light(*search._stack_planes(a[None])) == [4]
+    assert search._stack_light(a[None]) == [4]
 
 
 class _CountingBits:
@@ -1086,21 +1086,35 @@ def test_random_search_slices_keep_the_outcome(monkeypatch):
 def test_screen_runs_every_slice_at_one_size(monkeypatch, rng):
     # a short last slice is filled up with zero A, whose weights are
     # dropped, so every kernel call has the slice's shape, and the screen
-    # keeps what slices of one candidate each keep
+    # gives what slices of one candidate each give
     stack = rng.integers(0, 4, size=(300, 5, 4), dtype=np.uint8)
     stack[rng.random(stack.shape) < 0.3] = 0
     shapes = set()
     light = search._stack_light
 
-    def recorded(lo, hi):
-        shapes.add(lo.shape)
-        return light(lo, hi)
+    def recorded(part):
+        shapes.add(part.shape)
+        return light(part)
     with monkeypatch.context() as patch:
         patch.setattr(search, "_stack_light", recorded)
-        got = search._screen(stack, 3)
-    assert shapes == {(256, 5, 1)}
+        got = search._screen(stack)
+    assert shapes == {(256, 5, 4)}
     monkeypatch.setattr(search, "_SLICE_BYTES", 1)
-    assert got == search._screen(stack, 3) and len(got[1]) > 20
+    assert got == search._screen(stack) and len(got) == 300
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 1])
+def test_screen_is_the_light_weight_of_every_candidate(monkeypatch, rng, slice_bytes):
+    # slicing and zero padding never move a weight: one int per candidate,
+    # in chunk order, around every slice boundary of 256
+    if slice_bytes is not None:
+        monkeypatch.setattr(search, "_SLICE_BYTES", slice_bytes)
+    for size in (1, 255, 256, 257, 600):
+        stack = rng.integers(0, 4, size=(size, 5, 4), dtype=np.uint8)
+        stack[rng.random(stack.shape) < 0.3] = 0
+        got = search._screen(stack)
+        assert all(type(weight) is int for weight in got)
+        assert got == search._stack_light(stack), size
 
 
 def test_random_search_without_hull_one_candidate():
